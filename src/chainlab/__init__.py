@@ -15,7 +15,7 @@ from .contexts import (
     infinite_order_certificate,
     raag_context,
 )
-from .coset import farber_prefix_check, parse_chain_spec, todd_coxeter
+from .coset import build_abelian_chain, farber_prefix_check, parse_chain_spec, todd_coxeter
 from .errors import (
     BudgetExceededError,
     InputError,
@@ -38,6 +38,7 @@ from .raag import (
     chain_commuting_report,
     chain_commuting_sequence,
     emit_qnormal_chain,
+    exact_chain_contexts,
     is_inner_amenable_raag,
 )
 from .rebuilding import minimal_kappa, quality_check, validate_rebuilding
@@ -59,12 +60,14 @@ __all__ = [
     "artin_chain_commuting",
     "battery_context",
     "blow_up",
+    "build_abelian_chain",
     "build_coset_graph",
     "chain_commuting_report",
     "chain_commuting_sequence",
     "chain_homology",
     "emit_qnormal_chain",
     "estimate_trend",
+    "exact_chain_contexts",
     "farber_prefix_check",
     "free_abelian_context",
     "free_context",

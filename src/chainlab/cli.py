@@ -20,12 +20,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .contexts import (
-    InfiniteOrderCertificate,
-    RaagContext,
-    WordProblemContext,
-    battery_context,
-)
+from . import __version__
+from .contexts import InfiniteOrderCertificate, context_for
 from .coset import DEFAULT_BUDGET, farber_prefix_check, parse_chain_spec
 from .errors import (
     BudgetExceededError,
@@ -36,22 +32,17 @@ from .errors import (
 )
 from .homology import gradient_series, series_to_csv, series_to_json_dict
 from .qnormal import (
-    AbelianRewriter,
     ChainReport,
     Connector,
     CosetGraph,
     DEFAULT_RADIUS,
     DEFAULT_SEARCH_BOUND,
-    ParabolicRewriter,
-    QNormalChainCertificate,
     QNormalReport,
     QNormalStatus,
-    SubgroupRewriter,
     blow_up,
     build_coset_graph,
     chain_from_dict,
     chain_to_dict,
-    classify_raag_presentation,
     compare_blowup_with_direct,
     graph_to_dict,
     infer_solver,
@@ -60,7 +51,7 @@ from .qnormal import (
     verify_qnormal,
     witness_set_from_dict,
 )
-from .raag import chain_commuting_report, is_inner_amenable_raag
+from .raag import chain_commuting_report, exact_chain_contexts, is_inner_amenable_raag
 from .rebuilding import (
     minimal_kappa,
     quality_check,
@@ -69,16 +60,6 @@ from .rebuilding import (
     validate_rebuilding,
 )
 from .words import Presentation, RaagGraph, Word, default_names, format_word, word
-
-try:  # installed distribution metadata, if available
-    from importlib.metadata import PackageNotFoundError, version as _dist_version
-
-    try:
-        VERSION = _dist_version("chainlab")
-    except PackageNotFoundError:  # pragma: no cover - source checkout
-        VERSION = "0.1.0"
-except ImportError:  # pragma: no cover - very old interpreters
-    VERSION = "0.1.0"
 
 MANIFEST_NAME = "manifest.json"
 
@@ -210,7 +191,7 @@ class Run:
             argv=tuple(argv),
             inputs=tuple(inputs),
             parameters=parameters,
-            tool_version=VERSION,
+            tool_version=__version__,
             timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         )
 
@@ -277,38 +258,6 @@ def chain_report_dict(rep: ChainReport) -> dict:
     }
 
 
-def context_for(p: Presentation) -> WordProblemContext:
-    """An exact context when the presentation is a graph group, else a battery."""
-    graph = classify_raag_presentation(p)
-    if graph is not None:
-        return RaagContext(graph, p.generator_names)
-    return battery_context(p)
-
-
-def contexts_for_chain(cert: QNormalChainCertificate) -> tuple[WordProblemContext, ...]:
-    if not cert.steps:
-        rank = max(abs(x) for x in cert.base)
-        return (RaagContext(RaagGraph(rank), default_names(rank)),)
-    return tuple(context_for(step.ambient) for step in cert.steps)
-
-
-def infer_rewriter(p: Presentation, subgroup_words: Sequence[Word]) -> SubgroupRewriter:
-    graph = classify_raag_presentation(p)
-    if graph is None:
-        raise InputError(
-            "no subgroup rewriter is available for this presentation; "
-            "only graph-group ambients are supported for blow-ups"
-        )
-    if len(graph.edges) == graph.vertex_count * (graph.vertex_count - 1) // 2:
-        return AbelianRewriter(p.rank, subgroup_words)
-    if all(len(w) == 1 and w[0] > 0 for w in subgroup_words):
-        return ParabolicRewriter(graph, [w[0] for w in subgroup_words])
-    raise InputError(
-        "for non-abelian graph groups the subgroup must be parabolic "
-        "(given by single positive generators) to infer a rewriter"
-    )
-
-
 # ------------------------------------------------------------------ commands
 
 
@@ -340,7 +289,7 @@ def cmd_qnormal_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
     run = Run("qnormal verify", argv, args.out, [args.certificate], {})
     if "steps" in data:
         cert = chain_from_dict(data)
-        report = verify_chain(cert, contexts_for_chain(cert))
+        report = verify_chain(cert, exact_chain_contexts(cert))
         run.write_json("verify_report.json", {"kind": "chain", **chain_report_dict(report)})
         run.finish()
         status = report.status
@@ -416,15 +365,21 @@ def cmd_qnormal_blowup(args: argparse.Namespace, argv: Sequence[str]) -> int:
         )
         for c in job.get("connectors", [])
     )
+    # the rewriter decomposes ambient words into letters of the outer
+    # subgroup, whose generators are the outer graph's subgroup words
+    rewriter = infer_solver(p, outer.subgroup_words)
+    if rewriter is None:
+        raise InputError(
+            "no subgroup rewriter for the outer subgroup: blow-ups need a graph-group "
+            "ambient, and a parabolic outer subgroup unless the group is free abelian"
+        )
     blown = blow_up(
         outer,
         inner,
         connectors,
         context_for(p),
         subgroup_words,
-        # the rewriter decomposes ambient words into letters of the outer
-        # subgroup, whose generators are the outer graph's subgroup words
-        infer_rewriter(p, outer.subgroup_words),
+        rewriter,
         solver=infer_solver(p, subgroup_words),
     )
     payload = {
@@ -521,9 +476,7 @@ def cmd_farber(args: argparse.Namespace, argv: Sequence[str]) -> int:
         [args.group],
         {"chain": args.chain, "gammas": args.gammas, "eps": str(eps), "budget": args.budget},
     )
-    graph = classify_raag_presentation(p)
-    ctx = RaagContext(graph, p.generator_names) if graph is not None else None
-    report = farber_prefix_check(chain, gammas, eps, ctx)
+    report = farber_prefix_check(chain, gammas, eps, context_for(p))
     lines = ["gamma,level,index,fx"]
     for gi, gamma in enumerate(report.gammas):
         for li, label in enumerate(chain.labels):
@@ -592,7 +545,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", default="chainlab_out", help="output directory (default: chainlab_out)")
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="coset enumeration cap")
     sp.add_argument("--radius", type=int, default=DEFAULT_RADIUS, help="ball radius for truncated graphs")
-    sp.add_argument("--seed", type=int, default=0, help="reserved; all commands are deterministic")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -602,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
         "q-normality certificates, graph-group analyzers, fixed-point tables, "
         "and rebuilding audits.",
     )
-    parser.add_argument("--version", action="version", version=f"chainlab {VERSION}")
+    parser.add_argument("--version", action="version", version=f"chainlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("homology", help="gradient series along a subgroup chain")

@@ -9,6 +9,9 @@ word equality:
 * a ``finite-quotient-battery`` context only probes words through finite
   permutation quotients, so it can *refute* equality but never prove it.
 
+``context_for`` is the one place that decides which of the two a presentation
+gets: a graph-group presentation is recognized by its relators alone.
+
 Certificates never overstate: a PROVEN verdict is backed by an exact
 computation, everything else is labeled CONSISTENT or INCONCLUSIVE.
 """
@@ -145,6 +148,27 @@ class QuotientBatteryContext(WordProblemContext):
 
 def battery_context(presentation: Presentation, probes: Sequence[object] = ()) -> QuotientBatteryContext:
     return QuotientBatteryContext(presentation, probes)
+
+
+def classify_raag_presentation(p: Presentation) -> Optional[RaagGraph]:
+    """The defining graph when every relator is a commutator of two generators."""
+    edges = set()
+    for r in p.relators:
+        if len(r) != 4:
+            return None
+        i, j = r[0], r[1]
+        if not (i > 0 and j > 0 and i != j and r[2] == -i and r[3] == -j):
+            return None
+        edges.add((min(i, j), max(i, j)))
+    return RaagGraph(p.rank, frozenset(edges))
+
+
+def context_for(p: Presentation) -> WordProblemContext:
+    """An exact context when the presentation is a graph group, else a probe-less battery."""
+    graph = classify_raag_presentation(p)
+    if graph is not None:
+        return RaagContext(graph, p.generator_names)
+    return battery_context(p)
 
 
 # ------------------------------------------------------------- abelianization

@@ -18,7 +18,6 @@ from __future__ import annotations
 from .contexts import RaagContext, WordProblemContext, free_abelian_context
 from .qnormal import (
     AbelianCosetSolver,
-    AbelianRewriter,
     Connector,
     CosetGraph,
     QNormalChainCertificate,
@@ -44,10 +43,6 @@ def k22_graph() -> RaagGraph:
 def coned_k22_graph() -> RaagGraph:
     """The previous graph plus a cone vertex e: (F2 x F2 x Z) on (a, b, c, d, e)."""
     return raag_graph(5, [(1, 3), (1, 4), (2, 3), (2, 4), (1, 5), (2, 5), (3, 5), (4, 5)])
-
-
-def _self_witness(index: int) -> QNormalWitness:
-    return QNormalWitness(w=(index,), expr_in_subgroup=(index,), expr_in_conjugate=(index,))
 
 
 def golden_chain() -> tuple[QNormalChainCertificate, tuple[WordProblemContext, ...]]:
@@ -167,8 +162,8 @@ def plane_connectors() -> tuple[Connector, ...]:
     )
 
 
-def plane_rewriter() -> AbelianRewriter:
-    return AbelianRewriter(2, [(1,), (2, 2)])
+def plane_rewriter() -> AbelianCosetSolver:
+    return AbelianCosetSolver(2, [(1,), (2, 2)])
 
 
 def plane_line_solver() -> AbelianCosetSolver:

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
 from .coset import CosetTable, SubgroupChain
 from .errors import InputError
 from .intmat import IntMatrix, rank_mod_p, rank_over_q, smith_normal_form
@@ -199,9 +197,16 @@ def estimate_trend(series: GradientSeries) -> TrendReport:
         mono = "nondecreasing"
     else:
         mono = "mixed"
-    x = np.array([1.0 / p.index for p in pts])
-    y = np.array(ratios)
-    slope, intercept = np.polyfit(x, y, 1)
+    # exact least-squares line through (1/index, ratio); floats only at the end
+    n = len(pts)
+    xs = [Fraction(1, p.index) for p in pts]
+    ys = [Fraction(p.ratio) for p in pts]
+    sx, sy = sum(xs), sum(ys)
+    denom = n * sum(x * x for x in xs) - sx * sx
+    if denom == 0:
+        raise InputError("trend estimation needs at least two distinct indices")
+    slope = (n * sum(x * y for x, y in zip(xs, ys)) - sx * sy) / denom
+    intercept = (sy - slope * sx) / n
     return TrendReport(
         kind=series.kind,
         last_ratio=ratios[-1],

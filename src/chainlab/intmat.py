@@ -61,9 +61,6 @@ class IntMatrix:
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(rows, cols)
 
-    def copy(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [row[:] for row in self.data])
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows, [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
 
@@ -105,9 +102,6 @@ class IntMatrix:
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, [[-a for a in r] for r in self.data])
-
-    def scaled(self, c: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [[c * a for a in r] for r in self.data])
 
     def column(self, j: int) -> list[int]:
         return [row[j] for row in self.data]

@@ -27,6 +27,7 @@ from .contexts import (
     EqualityVerdict,
     InfiniteOrderCertificate,
     WordProblemContext,
+    classify_raag_presentation,
     exponent_vector,
     infinite_order_certificate,
     relator_exponent_matrix,
@@ -294,12 +295,24 @@ def verify_chain(
 
 
 class CosetSolver:
-    """Canonical representatives for left cosets wL of a fixed subgroup."""
+    """Canonical representatives for left cosets wL of a fixed subgroup L,
+    and rewriting of ambient words that lie in L into L's own letters."""
 
     description: str
 
     def canonical(self, w: Sequence[int]) -> Word:
         raise NotImplementedError
+
+    def to_subgroup_letters(self, w: Sequence[int]) -> Optional[Word]:
+        """w as a word over L's generator indices, or None when w is not in L."""
+        raise NotImplementedError
+
+
+def _power_word(exponents: Sequence[int]) -> Word:
+    out: list[int] = []
+    for g, e in enumerate(exponents, start=1):
+        out.extend([g if e > 0 else -g] * abs(e))
+    return tuple(out)
 
 
 class AbelianCosetSolver(CosetSolver):
@@ -307,33 +320,40 @@ class AbelianCosetSolver(CosetSolver):
 
     def __init__(self, rank: int, subgroup_words: Sequence[Sequence[int]]):
         self.rank = rank
-        self.basis = LatticeBasis(rank, [exponent_vector(w, rank) for w in subgroup_words])
+        vectors = [exponent_vector(w, rank) for w in subgroup_words]
+        self.basis = LatticeBasis(rank, vectors)
+        self.matrix = IntMatrix(rank, len(vectors), [[vec[i] for vec in vectors] for i in range(rank)])
         self.description = f"free-abelian rank {rank} modulo a sublattice"
 
     def canonical(self, w: Sequence[int]) -> Word:
-        residue = self.basis.reduce(exponent_vector(w, self.rank))
-        out: list[int] = []
-        for g, e in enumerate(residue, start=1):
-            out.extend([g if e > 0 else -g] * abs(e))
-        return tuple(out)
+        return _power_word(self.basis.reduce(exponent_vector(w, self.rank)))
+
+    def to_subgroup_letters(self, w: Sequence[int]) -> Optional[Word]:
+        sol = solve_integer(self.matrix, exponent_vector(w, self.rank))
+        return None if sol is None else _power_word(sol)
 
 
 class ParabolicCosetSolver(CosetSolver):
     """Cosets of a graph-group parabolic subgroup (generated by a vertex subset).
 
-    The canonical representative strips, from the normal form, every deletable
-    subgroup letter: a letter lying in the parabolic set that commutes with the
-    whole suffix to its right.  The result is the unique minimal-length coset
-    representative, returned in normal form.
+    The subgroup is given by its generators as signed single letters, in
+    order; the letter at position i is subgroup letter i, so a generator -v
+    maps v to the inverse of its letter.  The canonical representative
+    strips, from the normal form, every deletable subgroup letter: a letter
+    lying in the parabolic set that commutes with the whole suffix to its
+    right.  The result is the unique minimal-length coset representative,
+    returned in normal form.
     """
 
-    def __init__(self, graph: RaagGraph, parabolic: frozenset[int]):
-        for v in parabolic:
-            if not (1 <= v <= graph.vertex_count):
-                raise InputError(f"parabolic vertex {v} out of range")
+    def __init__(self, graph: RaagGraph, letters: Sequence[int]):
+        self.relabel = {}
+        for i, letter in enumerate(letters, start=1):
+            if not (1 <= abs(letter) <= graph.vertex_count):
+                raise InputError(f"parabolic vertex {letter} out of range")
+            self.relabel[abs(letter)] = i if letter > 0 else -i
         self.graph = graph
-        self.parabolic = parabolic
-        self.description = f"graph-group parabolic on vertices {sorted(parabolic)}"
+        self.parabolic = frozenset(self.relabel)
+        self.description = f"graph-group parabolic on vertices {sorted(self.parabolic)}"
 
     def canonical(self, w: Sequence[int]) -> Word:
         current = raag_normal_form(word(w), self.graph)
@@ -350,42 +370,36 @@ class ParabolicCosetSolver(CosetSolver):
             if not removed:
                 return current
 
-
-def classify_raag_presentation(p: Presentation) -> Optional[RaagGraph]:
-    """The defining graph when every relator is a commutator of two generators."""
-    edges = set()
-    for r in p.relators:
-        if len(r) != 4:
-            return None
-        i, j = r[0], r[1]
-        if not (i > 0 and j > 0 and i != j and r[2] == -i and r[3] == -j):
-            return None
-        edges.add((min(i, j), max(i, j)))
-    return RaagGraph(p.rank, frozenset(edges))
+    def to_subgroup_letters(self, w: Sequence[int]) -> Optional[Word]:
+        out = []
+        for letter in raag_normal_form(word(w), self.graph):
+            if abs(letter) not in self.relabel:
+                return None
+            new = self.relabel[abs(letter)]
+            out.append(new if letter > 0 else -new)
+        return tuple(out)
 
 
 def infer_solver(p: Presentation, subgroup_words: Sequence[Sequence[int]]) -> Optional[CosetSolver]:
-    """A canonicalizer for G/L when the presentation shape supports one.
+    """The coset solver for G/L when the presentation shape supports one.
 
     Free-abelian presentations admit arbitrary subgroup words (lattice
     reduction); other graph-group presentations admit parabolic subgroups
-    (each word a single signed generator).  Anything else returns None.
+    (each word a single signed generator after free reduction).  Anything
+    else returns None.
     """
     graph = classify_raag_presentation(p)
     if graph is None:
         return None
-    complete = all(
-        graph.adjacent(i, j) for i in range(1, p.rank + 1) for j in range(i + 1, p.rank + 1)
-    )
-    if complete:
+    if len(graph.edges) == p.rank * (p.rank - 1) // 2:
         return AbelianCosetSolver(p.rank, [p.check_word(w) for w in subgroup_words])
-    vertices = set()
+    letters = []
     for w in subgroup_words:
         w = free_reduce(p.check_word(w))
         if len(w) != 1:
             return None
-        vertices.add(abs(w[0]))
-    return ParabolicCosetSolver(graph, frozenset(vertices))
+        letters.append(w[0])
+    return ParabolicCosetSolver(graph, letters)
 
 
 # --------------------------------------------------------------- coset graph
@@ -778,47 +792,6 @@ def trim_cocompact(
 # ------------------------------------------------------------------- blow-up
 
 
-class SubgroupRewriter:
-    """Rewrites ambient words that lie in a subgroup H into H's own letters."""
-
-    def to_subgroup_letters(self, w: Sequence[int]) -> Optional[Word]:
-        raise NotImplementedError
-
-
-class AbelianRewriter(SubgroupRewriter):
-    def __init__(self, rank: int, subgroup_words: Sequence[Sequence[int]]):
-        self.rank = rank
-        vectors = [exponent_vector(w, rank) for w in subgroup_words]
-        self.matrix = IntMatrix(
-            rank, len(vectors), [[vec[i] for vec in vectors] for i in range(rank)]
-        )
-
-    def to_subgroup_letters(self, w: Sequence[int]) -> Optional[Word]:
-        sol = solve_integer(self.matrix, exponent_vector(w, self.rank))
-        if sol is None:
-            return None
-        out: list[int] = []
-        for i, c in enumerate(sol, start=1):
-            out.extend([i if c > 0 else -i] * abs(c))
-        return tuple(out)
-
-
-class ParabolicRewriter(SubgroupRewriter):
-    def __init__(self, graph: RaagGraph, vertex_order: Sequence[int]):
-        self.graph = graph
-        self.relabel = {v: i for i, v in enumerate(vertex_order, start=1)}
-
-    def to_subgroup_letters(self, w: Sequence[int]) -> Optional[Word]:
-        nf = raag_normal_form(word(w), self.graph)
-        out = []
-        for letter in nf:
-            if abs(letter) not in self.relabel:
-                return None
-            new = self.relabel[abs(letter)]
-            out.append(new if letter > 0 else -new)
-        return tuple(out)
-
-
 @dataclass(frozen=True)
 class Connector:
     """One outer edge orbit's crossing data for the blow-up.
@@ -865,14 +838,16 @@ def blow_up(
     connectors: Sequence[Connector],
     ctx: WordProblemContext,
     subgroup_words: Sequence[Sequence[int]],
-    rewriter: SubgroupRewriter,
+    rewriter: CosetSolver,
     solver: Optional[CosetSolver] = None,
 ) -> BlowUpGraph:
     """Blow up a graph on G/H through a graph on H/L to a graph on G/L.
 
     subgroup_words express L's generators as ambient (G) words; inner's
     presentation must be the abstract presentation of H on outer's subgroup
-    words (positional correspondence).  Every outer edge orbit must come with
+    words (positional correspondence).  rewriter is the coset solver of H
+    (e.g. infer_solver on outer's subgroup words); it rewrites ambient words
+    lying in H into H's letters.  Every outer edge orbit must come with
     a connector whose witness is verified here: the two membership expressions
     must hold in ctx and the witness must be of proven infinite order —
     otherwise the construction is refused.

@@ -33,11 +33,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .contexts import (
-    CertificateStatus,
     InfiniteOrderCertificate,
     RaagContext,
     WordProblemContext,
     battery_context,
+    context_for,
     infinite_order_certificate,
     raag_context,
 )
@@ -49,7 +49,6 @@ from .qnormal import (
     QNormalStatus,
     QNormalWitness,
     QNormalWitnessSet,
-    classify_raag_presentation,
     verify_chain,
 )
 from .words import (
@@ -311,27 +310,18 @@ def emit_qnormal_chain(
     return QNormalChainCertificate(steps=tuple(steps), base=(1,))
 
 
-def exact_chain_contexts(
-    cert: QNormalChainCertificate, fallback: Optional[WordProblemContext] = None
-) -> tuple[WordProblemContext, ...]:
-    """Exact word-problem contexts for a chain whose ambient groups are graph groups.
+def exact_chain_contexts(cert: QNormalChainCertificate) -> tuple[WordProblemContext, ...]:
+    """One word-problem context per chain step, from context_for.
 
-    Each step's ambient presentation is classified back to its graph; the
-    zero-step chain gets a single free-group context of the base word's rank
-    unless a fallback context is supplied.
+    Graph-group ambients get exact contexts; any other ambient gets a
+    probe-less finite-quotient battery, so its step can reach at most
+    CONSISTENT.  The zero-step chain gets a single free-group context of the
+    base word's rank.
     """
     if not cert.steps:
-        if fallback is not None:
-            return (fallback,)
         rank = max(abs(x) for x in cert.base)
         return (raag_context(RaagGraph(rank)),)
-    contexts = []
-    for step in cert.steps:
-        graph = classify_raag_presentation(step.ambient)
-        if graph is None:
-            raise InputError("a chain step's ambient presentation is not a graph group")
-        contexts.append(RaagContext(graph, step.ambient.generator_names))
-    return tuple(contexts)
+    return tuple(context_for(step.ambient) for step in cert.steps)
 
 
 @dataclass(frozen=True)
@@ -522,7 +512,3 @@ def artin_central_chain(
     else:
         ctx = battery_context(pres, [symmetric_quotient_probe(m)])
     return cert, (ctx,)
-
-
-def certificate_status_label(status: CertificateStatus) -> str:
-    return status.value if hasattr(status, "value") else str(status)

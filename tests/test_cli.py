@@ -10,12 +10,39 @@ import pytest
 
 from chainlab.cli import main, parse_element
 from chainlab.errors import InputError
+from chainlab.qnormal import chain_to_dict, witness_set_to_dict
+from chainlab.raag import artin_central_chain
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def read_json(path: Path) -> dict:
     return json.loads(path.read_text())
+
+
+def write_json(path: Path, payload: dict) -> Path:
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def blowup_job(outer_group: dict, outer_subgroup: list, inner_rank: int) -> dict:
+    """A blow-up job whose inner graph is a ball on F(inner_rank) / <h1>."""
+    return {
+        "outer": {"group": outer_group, "subgroup": outer_subgroup, "generating_set": [[1], [2]]},
+        "inner": {
+            "group": {"generators": [f"h{i}" for i in range(1, inner_rank + 1)], "relators": []},
+            "subgroup": [[1]],
+            "generating_set": [[i] for i in range(1, inner_rank + 1)],
+            "budget": 2,
+            "radius": 1,
+        },
+        "subgroup_words": [[1]],
+        "connectors": [
+            {"outer_label": k, "g_f": [k + 1], "witness": [1],
+             "witness_in_subgroup": [1], "witness_in_conjugate": [1]}
+            for k in range(2)
+        ],
+    }
 
 
 class TestHomologyCommand:
@@ -115,6 +142,33 @@ class TestQnormalCommands:
         assert blowup["comparison"]["matches"] is True
         assert blowup["comparison"]["common_vertices"] == 13
 
+    def test_blowup_refuses_non_graph_group_outer_ambient(self, tmp_path, capsys):
+        # <x, y | x^2, [x, y]> is not a graph group: no rewriter for <x, y^2>.
+        group = {"generators": ["x", "y"], "relators": [[1, 1], [1, 2, -1, -2]]}
+        job = write_json(tmp_path / "job.json", blowup_job(group, [[1], [2, 2]], 2))
+        assert main(["qnormal", "blowup", str(job), "--out", str(tmp_path / "o")]) == 2
+        assert "rewriter" in capsys.readouterr().err
+
+    def test_blowup_refuses_non_parabolic_outer_subgroup(self, tmp_path, capsys):
+        # <a^2, b, a b a^-1> has index 2 in F2 but is not generated by letters.
+        group = {"generators": ["a", "b"], "relators": []}
+        job = write_json(tmp_path / "job.json", blowup_job(group, [[1, 1], [2], [1, 2, -1]], 3))
+        assert main(["qnormal", "blowup", str(job), "--out", str(tmp_path / "o")]) == 2
+        assert "rewriter" in capsys.readouterr().err
+
+    def test_verify_on_non_graph_group_ambient_is_consistent(self, tmp_path):
+        # The braid group <s, t | sts = tst> gets a finite-quotient battery.
+        cert, _ = artin_central_chain(3)
+        for kind, payload in (
+            ("witness-set", witness_set_to_dict(cert.steps[0])),
+            ("chain", chain_to_dict(cert)),
+        ):
+            out = tmp_path / kind
+            path = write_json(tmp_path / f"{kind}.json", payload)
+            assert main(["qnormal", "verify", str(path), "--out", str(out)]) == 0
+            report = read_json(out / "verify_report.json")
+            assert (report["kind"], report["status"]) == (kind, "consistent")
+
     def test_trim_job(self, tmp_path):
         out = tmp_path / "run"
         rc = main(["qnormal", "trim", str(DATA / "trim_job.json"), "--out", str(out)])
@@ -171,6 +225,12 @@ class TestFarberCommand:
             "--gammas", "e", "--out", str(tmp_path / "o"),
         ])
         assert rc == 2
+
+    def test_freely_trivial_element_rejected_outside_graph_groups(self, tmp_path):
+        group = write_json(tmp_path / "g.json", {"generators": ["a", "b"], "relators": [[2, 2]]})
+        argv = ["farber", str(group), "--chain", "abelian:n=1..3", "--out", str(tmp_path / "o")]
+        assert main(argv + ["--gammas", "a'a"]) == 2
+        assert main(argv + ["--gammas", "a"]) == 0
 
     def test_free_group_table(self, tmp_path):
         out = tmp_path / "run"
@@ -257,6 +317,11 @@ class TestManifests:
         assert names
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_cli_import_leaves_numpy_out(self):
+        code = "import sys, chainlab.cli; assert 'numpy' not in sys.modules, 'numpy imported'"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_console_entry_point(self, tmp_path):
         proc = subprocess.run(

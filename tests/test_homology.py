@@ -175,6 +175,21 @@ def test_trend_needs_two_points():
         estimate_trend(gradient_series(chain, "betti_q"))
 
 
+def test_trend_line_is_exact():
+    # b_1 = 2 at index n^2, so ratio = 2 / index: slope 2 and limit 0 exactly.
+    chain = build_abelian_chain(Z2, [1, 2, 3, 4])
+    trend = estimate_trend(gradient_series(chain, "betti_q"))
+    assert trend.slope_vs_inverse_index == 2.0
+    assert trend.extrapolated_limit == 0.0
+
+
+def test_trend_needs_distinct_indices():
+    chain = build_abelian_chain(Z2, [2, 2, 2])
+    assert [p.index for p in chain.levels] == [4, 4, 4]
+    with pytest.raises(InputError):
+        estimate_trend(gradient_series(chain, "betti_q"))
+
+
 def test_series_serialization():
     chain = build_abelian_chain(Z, [1, 2])
     series = gradient_series(chain, "betti_q")

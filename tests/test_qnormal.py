@@ -1,10 +1,14 @@
 """Witness certificates, coset graphs, paths, trimming, and blow-ups."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainlab.contexts import (
     EqualityVerdict,
+    RaagContext,
     battery_context,
+    free_abelian_context,
     free_context,
 )
 from chainlab.coset import todd_coxeter
@@ -48,7 +52,7 @@ from chainlab.qnormal import (
     witness_set_from_dict,
     witness_set_to_dict,
 )
-from chainlab.words import presentation, raag_graph
+from chainlab.words import RaagGraph, complete_graph, presentation, raag_graph
 
 S3 = presentation(("s", "t"), [(1, 1), (2, 2), (1, 2, 1, 2, 1, 2)])
 
@@ -322,6 +326,72 @@ class TestBallGraphs:
         assert g.vertices[0] == ()
         assert g.vertex_of((1,)) == 0
         assert g.vertex_of((3,)) == g.vertex_of((1, 3))
+
+
+# ----------------------------------------------- solver/rewriter agreement
+
+
+def words_over(rank, max_size):
+    letters = [g for v in range(1, rank + 1) for g in (v, -v)]
+    return st.lists(st.sampled_from(letters), max_size=max_size).map(tuple)
+
+
+@st.composite
+def abelian_cases(draw):
+    rank = draw(st.integers(1, 3))
+    subgroup_words = draw(st.lists(words_over(rank, 4), max_size=3))
+    return complete_graph(rank), subgroup_words, draw(words_over(rank, 8))
+
+
+@st.composite
+def parabolic_cases(draw):
+    n = draw(st.integers(1, 4))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    graph = RaagGraph(n, frozenset(draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else ()))
+    vertices = draw(st.permutations(range(1, n + 1)))[: draw(st.integers(0, n))]
+    letters = [v * draw(st.sampled_from((1, -1))) for v in vertices]
+    return graph, [(x,) for x in letters], draw(words_over(n, 8))
+
+
+def check_solver_agrees_with_rewriting(solver, ctx, subgroup_words, w):
+    rewritten = solver.to_subgroup_letters(w)
+    assert (rewritten is None) == (solver.canonical(w) != solver.canonical(()))
+    if rewritten is not None:
+        assert ctx.equal(iota(rewritten, subgroup_words), w) is EqualityVerdict.EQUAL
+
+
+class TestSolverRewriting:
+    """canonical() and to_subgroup_letters() of one solver decide membership alike."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(abelian_cases())
+    def test_abelian(self, case):
+        graph, subgroup_words, w = case
+        solver = infer_solver(graph.presentation(), subgroup_words)
+        assert isinstance(solver, AbelianCosetSolver)
+        ctx = free_abelian_context(graph.vertex_count)
+        check_solver_agrees_with_rewriting(solver, ctx, subgroup_words, w)
+
+    @settings(max_examples=150, deadline=None)
+    @given(parabolic_cases())
+    def test_parabolic(self, case):
+        graph, subgroup_words, w = case
+        solver = ParabolicCosetSolver(graph, [x for (x,) in subgroup_words])
+        check_solver_agrees_with_rewriting(solver, RaagContext(graph), subgroup_words, w)
+
+    def test_negative_parabolic_generator_maps_to_inverse_letter(self):
+        c4 = raag_graph(4, [(1, 3), (1, 4), (2, 3), (2, 4)])
+        solver = infer_solver(c4.presentation(), [(3,), (-1,)])
+        assert isinstance(solver, ParabolicCosetSolver)
+        assert solver.to_subgroup_letters((1,)) == (-2,)
+        assert solver.to_subgroup_letters((-1,)) == (2,)
+        assert solver.to_subgroup_letters((3,)) == (1,)
+        assert solver.to_subgroup_letters((1, 2)) is None
+
+    def test_abelian_rewrites_through_the_lattice(self):
+        solver = plane_rewriter()  # <x, y^2> in Z^2
+        assert solver.to_subgroup_letters((2, 1, 2)) == (1, 2)
+        assert solver.to_subgroup_letters((2,)) is None
 
 
 class TestPathsAndTrim:

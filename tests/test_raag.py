@@ -323,6 +323,15 @@ class TestDihedralCentralChains:
         report = verify_chain(cert, ctxs)
         assert report.status is QNormalStatus.CONSISTENT
 
+    def test_exact_chain_contexts_fall_back_to_a_battery(self):
+        # the braid group is not a graph group: its step can only be consistent
+        cert, _ = artin_central_chain(3)
+        (ctx,) = exact_chain_contexts(cert)
+        assert not ctx.decides_equality
+        assert verify_chain(cert, (ctx,)).status is QNormalStatus.CONSISTENT
+        (ctx,) = exact_chain_contexts(artin_central_chain(2)[0])
+        assert ctx.decides_equality
+
     def test_symmetric_quotient_order(self):
         # adding s^2 = t^2 = 1 to the length-3 braiding gives 6 group elements
         table = symmetric_quotient_probe(3)
