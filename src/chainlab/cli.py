@@ -30,7 +30,13 @@ from .errors import (
     UndecidableContextError,
     VerificationFailure,
 )
-from .homology import gradient_series, series_to_csv, series_to_json_dict
+from .homology import (
+    chain_homology,
+    check_primes,
+    gradient_series,
+    series_to_csv,
+    series_to_json_dict,
+)
 from .qnormal import (
     ChainReport,
     Connector,
@@ -262,9 +268,13 @@ def chain_report_dict(rep: ChainReport) -> dict:
 
 
 def cmd_homology(args: argparse.Namespace, argv: Sequence[str]) -> int:
+    try:
+        primes = [int(t) for t in args.primes.split(",") if t]
+    except ValueError:
+        raise InputError(f"--primes must be comma-separated integers, got {args.primes!r}") from None
+    check_primes(primes)
     p = presentation_from_dict(load_json(args.group))
     chain = parse_chain_spec(args.chain, p, max_cosets=args.budget)
-    primes = [int(t) for t in args.primes.split(",") if t] if args.primes else []
     run = Run(
         "homology",
         argv,
@@ -275,8 +285,9 @@ def cmd_homology(args: argparse.Namespace, argv: Sequence[str]) -> int:
     kinds: list[tuple[str, Optional[int]]] = [("betti_q", None)]
     kinds += [("betti_fp", q) for q in primes]
     kinds.append(("log_torsion", None))
+    summaries = chain_homology(chain, primes)
     for kind, prime in kinds:
-        series = gradient_series(chain, kind=kind, prime=prime)
+        series = gradient_series(chain, kind=kind, prime=prime, summaries=summaries)
         stem = series.kind.replace("[", "_").replace("]", "")
         run.write_text(f"{stem}.csv", series_to_csv(series))
         run.write_json(f"{stem}.json", series_to_json_dict(series))

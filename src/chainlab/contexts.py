@@ -166,9 +166,13 @@ def classify_raag_presentation(p: Presentation) -> Optional[RaagGraph]:
 def context_for(p: Presentation) -> WordProblemContext:
     """An exact context when the presentation is a graph group, else a probe-less battery."""
     graph = classify_raag_presentation(p)
-    if graph is not None:
-        return RaagContext(graph, p.generator_names)
-    return battery_context(p)
+    if graph is None:
+        return battery_context(p)
+    ctx = RaagContext(graph, p.generator_names)
+    # keep the relators in the order and orientation they were written in, so
+    # the context compares equal to the presentation it was classified from
+    ctx.presentation = p
+    return ctx
 
 
 # ------------------------------------------------------------- abelianization

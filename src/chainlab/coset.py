@@ -86,11 +86,17 @@ class CosetTable:
         return tuple(self.trace(c, w) for c in range(1, self.index + 1))
 
     @cached_property
-    def transversal(self) -> tuple[Word, ...]:
-        """Shortest representative words, breadth-first over letters +1..+r,-1..-r."""
+    def _breadth_first(self) -> tuple[tuple[Word, ...], tuple[tuple[int, int], ...]]:
+        """One BFS from the base coset over letters +1..+r,-1..-r.
+
+        Returns the representative words and, for every coset reached after
+        the base, the Schreier-graph edge (s, c) -- from c to c.s -- that first
+        reached it.  Raises InputError unless the action is transitive.
+        """
         letters = [g for g in range(1, self.presentation.rank + 1)]
         letters += [-g for g in range(1, self.presentation.rank + 1)]
         reps: dict[int, Word] = {1: ()}
+        tree: list[tuple[int, int]] = []
         queue = [1]
         while queue:
             nxt = []
@@ -99,11 +105,22 @@ class CosetTable:
                     d = self.apply(c, letter)
                     if d not in reps:
                         reps[d] = reps[c] + (letter,)
+                        tree.append((letter, c) if letter > 0 else (-letter, d))
                         nxt.append(d)
             queue = nxt
         if len(reps) != self.index:
             raise InputError("the generator actions do not act transitively")
-        return tuple(reps[c] for c in range(1, self.index + 1))
+        return tuple(reps[c] for c in range(1, self.index + 1)), tuple(tree)
+
+    @property
+    def transversal(self) -> tuple[Word, ...]:
+        """Shortest representative words, breadth-first over letters +1..+r,-1..-r."""
+        return self._breadth_first[0]
+
+    @property
+    def spanning_tree(self) -> tuple[tuple[int, int], ...]:
+        """index - 1 edges (s, c) of the Schreier graph forming a spanning tree."""
+        return self._breadth_first[1]
 
     def verify(self) -> None:
         """Re-check the defining invariants (raises InputError on failure)."""

@@ -11,11 +11,16 @@ coset action:
   walked from coset c: crossing letter s at coset u adds +(s, u), crossing
   s^{-1} at coset u adds -(s, u.s^{-1}).
 
-The composite d1 @ d2 is checked to vanish.  Betti numbers over Q and F_p come
-from exact ranks; torsion comes from the Smith normal form of d2, whose
-nontrivial invariant factors are exactly the torsion of ker d1 / im d2
-(torsion classes of C_1 / im d2 automatically lie in ker d1 because C_0 is
-free).
+Every relator walk must close up at its starting coset; applied to a d2
+column, d1 telescopes to e_end - e_start, so this check is exactly d1 d2 = 0.
+
+Homology comes from one Smith normal form.  Contracting a spanning tree of the
+Schreier graph (the breadth-first tree of the coset table, whose existence
+proves the cover connected) leaves one vertex, so H_1 is the cokernel of d2
+restricted to the rows of the non-tree edges: the Betti number is the number
+of those edges minus the rank, and the torsion is the invariant factors > 1.
+Mod-p Betti numbers follow by universal coefficients (H_0 is free):
+betti_fp[p] = betti_q + #{torsion factors divisible by p}.
 """
 
 from __future__ import annotations
@@ -27,24 +32,29 @@ from typing import Optional, Sequence, Union
 
 from .coset import CosetTable, SubgroupChain
 from .errors import InputError
-from .intmat import IntMatrix, rank_mod_p, rank_over_q, smith_normal_form
+from .intmat import IntMatrix, smith_normal_form
 from .words import Presentation
 
 
-def fox_boundary_matrices(p: Presentation, t: CosetTable) -> tuple[IntMatrix, IntMatrix]:
-    """(d1, d2) for the cover of the presentation complex described by t."""
+def check_primes(primes: Sequence[int]) -> tuple[int, ...]:
+    """The primes as a tuple; InputError for a non-integer, non-prime or repeated entry."""
+    out: list[int] = []
+    for q in primes:
+        if not isinstance(q, int) or isinstance(q, bool):
+            raise InputError(f"prime {q!r} is not an integer")
+        if not 2 <= q < 2**31 or any(q % d == 0 for d in range(2, math.isqrt(q) + 1)):
+            raise InputError(f"{q} is not a prime below 2**31")
+        if q in out:
+            raise InputError(f"prime {q} is listed twice")
+        out.append(q)
+    return tuple(out)
+
+
+def _fox_d2(p: Presentation, t: CosetTable) -> IntMatrix:
     if t.presentation != p:
         raise InputError("coset table was built over a different presentation")
     m = t.index
-    g = p.rank
-    r = len(p.relators)
-    d1 = IntMatrix(m, g * m)
-    for s in range(1, g + 1):
-        for c in range(1, m + 1):
-            col = (s - 1) * m + (c - 1)
-            d1.data[t.apply(c, s) - 1][col] += 1
-            d1.data[c - 1][col] -= 1
-    d2 = IntMatrix(g * m, r * m)
+    d2 = IntMatrix(p.rank * m, len(p.relators) * m)
     for ri, rel in enumerate(p.relators):
         for c in range(1, m + 1):
             col = ri * m + (c - 1)
@@ -57,8 +67,21 @@ def fox_boundary_matrices(p: Presentation, t: CosetTable) -> tuple[IntMatrix, In
                 else:
                     u = t.apply(u, letter)
                     d2.data[(s - 1) * m + (u - 1)][col] -= 1
-            if u != c:  # pragma: no cover - verified tables close relator loops
+            if u != c:
                 raise InputError(f"relator {rel} does not close up at coset {c}")
+    return d2
+
+
+def fox_boundary_matrices(p: Presentation, t: CosetTable) -> tuple[IntMatrix, IntMatrix]:
+    """(d1, d2) for the cover of the presentation complex described by t."""
+    d2 = _fox_d2(p, t)
+    m = t.index
+    d1 = IntMatrix(m, p.rank * m)
+    for s in range(1, p.rank + 1):
+        for c in range(1, m + 1):
+            col = (s - 1) * m + (c - 1)
+            d1.data[t.apply(c, s) - 1][col] += 1
+            d1.data[c - 1][col] -= 1
     return d1, d2
 
 
@@ -83,26 +106,22 @@ class HomologySummary:
 def homology_summary(
     p: Presentation, t: CosetTable, primes: Sequence[int] = ()
 ) -> HomologySummary:
-    d1, d2 = fox_boundary_matrices(p, t)
-    if not (d1 @ d2).is_zero():
-        raise InputError("boundary composition d1 @ d2 is nonzero")
-    edges = d1.cols
-    rank_d1 = rank_over_q(d1)
-    snf_d2 = smith_normal_form(d2)
-    betti_q = (edges - rank_d1) - snf_d2.rank
-    betti_fp = []
-    for q in primes:
-        bq = (edges - rank_mod_p(d1, q)) - rank_mod_p(d2, q)
-        betti_fp.append((q, bq))
-    torsion = tuple(f for f in snf_d2.invariant_factors if f > 1)
-    log_torsion = float(sum(math.log(f) for f in torsion))
+    """H_1 of the cover described by t, from one Smith normal form (see above)."""
+    primes = check_primes(primes)
+    m = t.index
+    d2 = _fox_d2(p, t)
+    tree = {(s - 1) * m + (c - 1) for s, c in t.spanning_tree}
+    rows = [row for e, row in enumerate(d2.data) if e not in tree]
+    snf = smith_normal_form(IntMatrix(len(rows), d2.cols, rows))
+    betti_q = len(rows) - snf.rank
+    torsion = tuple(f for f in snf.invariant_factors if f > 1)
     return HomologySummary(
-        index=t.index,
-        cell_counts=(t.index, p.rank * t.index, len(p.relators) * t.index),
+        index=m,
+        cell_counts=(m, p.rank * m, len(p.relators) * m),
         betti_q=betti_q,
-        betti_fp=tuple(betti_fp),
+        betti_fp=tuple((q, betti_q + sum(1 for f in torsion if f % q == 0)) for q in primes),
         invariant_factors_nontrivial=torsion,
-        log_torsion=log_torsion,
+        log_torsion=float(sum(math.log(f) for f in torsion)),
     )
 
 
@@ -138,10 +157,11 @@ def gradient_series(
     kind is "betti_q", "betti_fp" (with a prime), or "log_torsion".  Ratios of
     integer invariants are exact fractions.
     """
-    if kind == "betti_fp" and prime is None:
+    primes = check_primes(() if prime is None else (prime,))
+    if kind == "betti_fp" and not primes:
         raise InputError("betti_fp needs a prime")
     if summaries is None:
-        summaries = chain_homology(chain, primes=(prime,) if prime else ())
+        summaries = chain_homology(chain, primes)
     points = []
     for label, s in zip(chain.labels, summaries):
         if kind == "betti_q":

@@ -90,6 +90,15 @@ class TestHomologyCommand:
         bad.write_text("{not json")
         assert main(["homology", str(bad), "--chain", "abelian:n=1..2", "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("primes", ["4", "1", "x", "2,2"])
+    def test_bad_primes_are_input_errors(self, primes, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(["homology", str(DATA / "Z.json"), "--chain", "abelian:n=1..2",
+                   "--primes", primes, "--out", str(out)])
+        assert rc == 2
+        assert "input error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_budget_exhaustion_exit_code(self, tmp_path):
         rc = main([
             "homology", str(DATA / "ZxF2.json"), "--chain", "abelian:n=4",
@@ -111,6 +120,20 @@ class TestQnormalCommands:
     def test_verify_emitted_graph_group_chain(self, tmp_path):
         out = tmp_path / "run"
         rc = main(["qnormal", "verify", str(DATA / "c4_chain.json"), "--out", str(out)])
+        assert rc == 0
+        assert read_json(out / "verify_report.json")["status"] == "proven"
+
+    def test_verify_keeps_relators_as_written(self, tmp_path):
+        # Z^2 with its commutator written [y, x]: the exact context must compare
+        # equal to this presentation, not to the rebuilt [x, y] one.
+        ws = {
+            "ambient": {"generators": ["x", "y"], "relators": [[2, 1, -2, -1]]},
+            "subgroup_words": [[1]],
+            "generating_set": [[1], [2]],
+            "witnesses": [{"w": [1], "expr_in_subgroup": [1], "expr_in_conjugate": [1]}] * 2,
+        }
+        out = tmp_path / "run"
+        rc = main(["qnormal", "verify", str(write_json(tmp_path / "ws.json", ws)), "--out", str(out)])
         assert rc == 0
         assert read_json(out / "verify_report.json")["status"] == "proven"
 

@@ -31,3 +31,4 @@ def test_demo_runs(demo, tmp_path):
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert not list(tmp_path.glob("chainlab_demo_*")), "demo left its temp directory behind"

@@ -4,9 +4,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from chainlab.coset import build_abelian_chain, cyclic_cover_chain, todd_coxeter
-from chainlab.errors import InputError
+from chainlab.coset import CosetTable, build_abelian_chain, cyclic_cover_chain, todd_coxeter
+from chainlab.errors import BudgetExceededError, InputError
 from chainlab.homology import (
     chain_homology,
     estimate_trend,
@@ -16,8 +18,8 @@ from chainlab.homology import (
     series_to_csv,
     series_to_json_dict,
 )
-from chainlab.intmat import rank_over_q
-from chainlab.words import commutator, free_presentation, presentation
+from chainlab.intmat import rank_mod_p, rank_over_q, smith_normal_form
+from chainlab.words import commutator, free_presentation, free_reduce, inverse_word, presentation
 
 Z = free_presentation(1)
 F2 = free_presentation(2)
@@ -117,6 +119,102 @@ def test_universal_coefficients_consistency():
         for q in (2, 3, 5):
             expected = s.betti_q + sum(1 for f in s.invariant_factors_nontrivial if f % q == 0)
             assert s.betti_mod(q) == expected
+
+
+def rank_based_summary(p, t, primes):
+    """The reference path: exact ranks of both boundary maps, torsion from all of d2."""
+    d1, d2 = fox_boundary_matrices(p, t)
+    assert (d1 @ d2).is_zero()
+    edges = d1.cols
+    betti_q = edges - rank_over_q(d1) - rank_over_q(d2)
+    betti_fp = tuple((q, edges - rank_mod_p(d1, q) - rank_mod_p(d2, q)) for q in primes)
+    torsion = tuple(f for f in smith_normal_form(d2).invariant_factors if f > 1)
+    return betti_q, betti_fp, torsion
+
+
+@st.composite
+def presentations_with_covers(draw):
+    """A presentation with 1-3 generators and 1-3 relators of length <= 8, plus
+    the Todd-Coxeter table of a subgroup of index <= 12.
+
+    Relators are random words, commutators or proper powers.  The subgroup is
+    generated by the Schreier generators of a point stabilizer of a permutation
+    action of the free group on 2-12 points (random, or a k-cycle and its
+    powers, which kill every commutator), so its index in the presented group
+    is finite and at most the orbit size.
+    """
+    rank = draw(st.integers(1, 3))
+    letters = [g for g in range(-rank, rank + 1) if g]
+    letter = st.sampled_from(letters)
+    short = st.lists(letter, min_size=1, max_size=2).map(tuple)
+    relator = st.one_of(
+        st.lists(letter, min_size=1, max_size=8),
+        st.builds(commutator, short, short),
+        st.builds(lambda w, e: w * e, short, st.integers(2, 4)),
+    )
+    p = presentation("abc"[:rank], draw(st.lists(relator, min_size=1, max_size=3)))
+    k = draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        perms = [draw(st.permutations(range(1, k + 1))) for _ in range(rank)]
+    else:
+        shifts = [1] + draw(st.lists(st.integers(0, k - 1), min_size=rank - 1, max_size=rank - 1))
+        perms = [[(c + e) % k + 1 for c in range(k)] for e in shifts]
+    reps = {1: ()}
+    queue = [1]
+    for c in queue:
+        for g in letters:
+            d = perms[g - 1][c - 1] if g > 0 else perms[-g - 1].index(c) + 1
+            if d not in reps:
+                reps[d] = reps[c] + (g,)
+                queue.append(d)
+    schreier = [
+        free_reduce(reps[c] + (s,) + inverse_word(reps[perms[s - 1][c - 1]]))
+        for c in reps for s in range(1, rank + 1)
+    ]
+    try:
+        t = todd_coxeter(p, [w for w in schreier if w], max_cosets=5000)
+    except BudgetExceededError:
+        assume(False)
+    assert t.index <= len(reps)
+    return p, t
+
+
+@settings(max_examples=150, deadline=None)
+@given(presentations_with_covers())
+def test_summary_matches_rank_based_path(case):
+    p, t = case
+    s = homology_summary(p, t, primes=(2, 3, 5))
+    betti_q, betti_fp, torsion = rank_based_summary(p, t, (2, 3, 5))
+    assert s.betti_q == betti_q
+    assert s.betti_fp == betti_fp
+    assert s.invariant_factors_nontrivial == torsion
+    assert s.log_torsion == float(sum(math.log(f) for f in torsion))
+
+
+def test_relator_that_does_not_close_is_rejected():
+    # a = (1 2 3), b = (1 2) do not commute, so [a, b] is not a loop at coset 1
+    t = CosetTable(Z2, (), 3, ((2, 3, 1), (2, 1, 3)), construction="hand-built")
+    with pytest.raises(InputError, match="does not close up"):
+        fox_boundary_matrices(Z2, t)
+    with pytest.raises(InputError, match="does not close up"):
+        homology_summary(Z2, t)
+
+
+def test_non_transitive_table_is_rejected():
+    # two fixed points: the cover would be disconnected
+    t = CosetTable(F2, (), 2, ((1, 2), (1, 2)), construction="hand-built")
+    fox_boundary_matrices(F2, t)  # the boundary maps exist
+    with pytest.raises(InputError, match="transitively"):
+        homology_summary(F2, t)
+
+
+@pytest.mark.parametrize("primes", [(4,), (1,), (2, 2), (2.0,), ("3",), (True,), (2**31 + 11,)])
+def test_bad_primes_are_rejected(primes):
+    with pytest.raises(InputError):
+        homology_summary(Z2, base_table(Z2), primes=primes)
+    if len(primes) == 1:
+        with pytest.raises(InputError):
+            gradient_series(build_abelian_chain(Z2, [2]), "betti_fp", prime=primes[0])
 
 
 def test_wrong_presentation_is_rejected():
