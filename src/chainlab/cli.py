@@ -622,10 +622,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once, at import: parsing leaves it unchanged, and building it (argparse
+# makes a help formatter and gettext lookups per argument) costs 2-4 ms, many
+# times a parse, which every in-process call of main would otherwise repeat.
+_PARSER = build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args, argv)
     except InputError as exc:

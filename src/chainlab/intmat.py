@@ -80,14 +80,16 @@ class IntMatrix:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         out = IntMatrix(self.rows, other.cols)
         od = out.data
+        nonzero: list = [None] * other.rows  # (column, entry) pairs of a row of other, on first use
         for i, row in enumerate(self.data):
             orow = od[i]
             for k, a in enumerate(row):
                 if a:
-                    brow = other.data[k]
-                    for j, b in enumerate(brow):
-                        if b:
-                            orow[j] += a * b
+                    brow = nonzero[k]
+                    if brow is None:
+                        brow = nonzero[k] = [(j, b) for j, b in enumerate(other.data[k]) if b]
+                    for j, b in brow:
+                        orow[j] += a * b
         return out
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
@@ -132,6 +134,28 @@ class SNFResult:
     V: Optional[IntMatrix] = None
     U_inv: Optional[IntMatrix] = None
     transforms_checked: bool = False
+
+    def solve(self, v: Sequence[int]) -> Optional[list[int]]:
+        """One integer solution u of m @ u = v for the diagonalized m, or None.
+
+        Needs the transforms; one result answers any number of right-hand sides.
+        """
+        if self.U is None or self.V is None:
+            raise ValueError("solving needs the transforms of smith_normal_form(m, transforms=True)")
+        rows, cols = self.U.rows, self.V.rows
+        if rows != len(v):
+            raise ValueError("vector length must equal the number of matrix rows")
+        uv = [sum(self.U.data[i][k] * v[k] for k in range(rows)) for i in range(rows)]
+        factors = self.invariant_factors
+        y = [0] * cols
+        for i in range(rows):
+            if i < len(factors):
+                if uv[i] % factors[i] != 0:
+                    return None
+                y[i] = uv[i] // factors[i]
+            elif uv[i] != 0:
+                return None
+        return [sum(self.V.data[i][k] * y[k] for k in range(cols)) for i in range(cols)]
 
 
 def _row_op_add(m: list[list[int]], i: int, j: int, q: int) -> None:
@@ -483,20 +507,3 @@ def lattice_membership(span: IntMatrix, v: Sequence[int]) -> tuple[bool, bool]:
                 in_saturation = False
     return in_lattice, in_saturation
 
-
-def solve_integer(a: IntMatrix, v: Sequence[int]) -> Optional[list[int]]:
-    """One integer solution u of a @ u = v, or None when none exists."""
-    if a.rows != len(v):
-        raise ValueError("vector length must equal the number of matrix rows")
-    res = smith_normal_form(a, transforms=True)
-    uv = [sum(res.U.data[i][k] * v[k] for k in range(a.rows)) for i in range(a.rows)]
-    factors = res.invariant_factors
-    y = [0] * a.cols
-    for i in range(a.rows):
-        if i < len(factors):
-            if uv[i] % factors[i] != 0:
-                return None
-            y[i] = uv[i] // factors[i]
-        elif uv[i] != 0:
-            return None
-    return [sum(res.V.data[i][k] * y[k] for k in range(a.cols)) for i in range(a.cols)]

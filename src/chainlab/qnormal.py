@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .contexts import (
@@ -41,7 +42,7 @@ from .errors import (
     UndecidableContextError,
     VerificationFailure,
 )
-from .intmat import IntMatrix, LatticeBasis, smith_normal_form, solve_integer
+from .intmat import IntMatrix, LatticeBasis, SNFResult, smith_normal_form
 from .words import (
     Presentation,
     RaagGraph,
@@ -328,8 +329,12 @@ class AbelianCosetSolver(CosetSolver):
     def canonical(self, w: Sequence[int]) -> Word:
         return _power_word(self.basis.reduce(exponent_vector(w, self.rank)))
 
+    @cached_property
+    def _snf(self) -> SNFResult:
+        return smith_normal_form(self.matrix, transforms=True)
+
     def to_subgroup_letters(self, w: Sequence[int]) -> Optional[Word]:
-        sol = solve_integer(self.matrix, exponent_vector(w, self.rank))
+        sol = self._snf.solve(exponent_vector(w, self.rank))
         return None if sol is None else _power_word(sol)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import InputError, VerificationFailure
 from .intmat import IntMatrix
@@ -180,20 +181,27 @@ def operator_norm(m: IntMatrix) -> float:
         return _norm_2x2_exact(m)
     if m.is_zero():
         return 0.0
-    gram = (m.transpose() @ m).data
+    # (columns, entries) of the nonzeros of each Gram row, in column order:
+    # dropping the zero terms of a float sum leaves every partial sum unchanged
+    gram = []
+    for row in (m.transpose() @ m).data:
+        nonzero = [(k, g) for k, g in enumerate(row) if g]
+        gram.append((tuple(k for k, _ in nonzero), tuple(g for _, g in nonzero)))
     n = len(gram)
+
+    def times_gram(v: list[float]) -> list[float]:
+        return [sum(map(mul, entries, map(v.__getitem__, cols)), 0.0) for cols, entries in gram]
 
     def iterate(v: list[float]) -> float:
         rayleigh = 0.0
+        w = times_gram(v)
         for _ in range(POWER_ITERATION_CAP):
-            w = [sum(gram[i][k] * v[k] for k in range(n)) for i in range(n)]
-            norm_w = math.sqrt(sum(x * x for x in w))
+            norm_w = math.sqrt(sum(map(mul, w, w)))
             if norm_w == 0.0:
                 return rayleigh
             v = [x / norm_w for x in w]
-            new_rayleigh = sum(
-                v[i] * sum(gram[i][k] * v[k] for k in range(n)) for i in range(n)
-            )
+            w = times_gram(v)  # the Rayleigh quotient's product is the next step's
+            new_rayleigh = sum(map(mul, v, w))
             if abs(new_rayleigh - rayleigh) <= RAYLEIGH_TOLERANCE * max(1.0, new_rayleigh):
                 return new_rayleigh
             rayleigh = new_rayleigh

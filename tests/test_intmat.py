@@ -12,7 +12,6 @@ from chainlab.intmat import (
     rank_mod_p,
     rank_over_q,
     smith_normal_form,
-    solve_integer,
     xgcd,
 )
 
@@ -178,13 +177,36 @@ def test_lattice_membership_and_saturation():
 
 
 def test_solve_integer():
-    a = IntMatrix.from_rows([[1, 0], [0, 2]])
-    assert solve_integer(a, [3, 4]) == [3, 2]
-    assert solve_integer(a, [3, 3]) is None
+    def solve(rows, v):
+        return smith_normal_form(IntMatrix.from_rows(rows), transforms=True).solve(v)
+
+    assert solve([[1, 0], [0, 2]], [3, 4]) == [3, 2]
+    assert solve([[1, 0], [0, 2]], [3, 3]) is None
     # underdetermined: any valid solution is accepted
-    b = IntMatrix.from_rows([[2, 3]])
-    u = solve_integer(b, [1])
+    u = solve([[2, 3]], [1])
     assert u is not None and 2 * u[0] + 3 * u[1] == 1
+    # one factorization answers every right-hand side
+    a = IntMatrix.from_rows([[2, 4, 0], [0, 6, 3]])
+    res = smith_normal_form(a, transforms=True)
+    for v in ([2, 3], [0, 0], [4, -9], [6, 6]):
+        u = res.solve(v)
+        assert u is not None
+        assert [sum(a.data[i][k] * u[k] for k in range(3)) for i in range(2)] == v
+    assert res.solve([1, 0]) is None  # the column lattice has even first coordinates
+    with pytest.raises(ValueError):
+        res.solve([1, 2, 3])
+    with pytest.raises(ValueError):
+        smith_normal_form(a).solve([2, 3])  # no transforms
+
+
+def test_matmul_matches_schoolbook_product():
+    rng = random.Random(11)
+    for _ in range(200):
+        r, k, c = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+        a = [[rng.choice([0, 0, 1, -2, 3]) for _ in range(k)] for _ in range(r)]
+        b = [[rng.choice([0, 0, -1, 2, 5]) for _ in range(c)] for _ in range(k)]
+        want = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(c)] for i in range(r)]
+        assert (IntMatrix(r, k, a) @ IntMatrix(k, c, b)).data == want
 
 
 def test_xgcd():

@@ -306,6 +306,18 @@ class TestBallGraphs:
         assert solver.canonical((1, 2, 2)) == ()
         assert solver.canonical((1,)) == solver.canonical((-2, -2))
 
+    def test_abelian_solver_factors_its_lattice_once(self, monkeypatch):
+        import chainlab.qnormal as qnormal
+
+        calls = []
+        real = qnormal.smith_normal_form
+        monkeypatch.setattr(qnormal, "smith_normal_form", lambda *a, **k: calls.append(1) or real(*a, **k))
+        solver = infer_solver(plane_presentation(), [(1, 1), (2, 2, 2)])
+        assert solver.to_subgroup_letters((1, 1, 2, 2, 2)) == (1, 2)
+        assert solver.to_subgroup_letters((1, 2)) is None
+        assert solver.to_subgroup_letters((-1, -1, -1, -1)) == (-1, -1)
+        assert len(calls) == 1
+
     def test_parabolic_canonical_forms(self):
         c4 = raag_graph(4, [(1, 3), (1, 4), (2, 3), (2, 4)])
         solver = ParabolicCosetSolver(c4, frozenset({1}))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainlab.errors import InputError, VerificationFailure
 from chainlab.intmat import IntMatrix
@@ -30,6 +32,33 @@ def bumped(m: IntMatrix, i: int, j: int) -> IntMatrix:
     data = [list(r) for r in m.data]
     data[i][j] += 1
     return IntMatrix(m.rows, m.cols, data)
+
+
+def dense_operator_norm(m: IntMatrix) -> float:
+    """Power iteration with dense Gram products, two per round -- oracle."""
+    if m.rows == 0 or m.cols == 0 or m.is_zero():
+        return 0.0
+    if m.rows <= 2 and m.cols <= 2:
+        return operator_norm(m)
+    gram = (m.transpose() @ m).data
+    n = len(gram)
+
+    def iterate(v):
+        rayleigh = 0.0
+        for _ in range(200):
+            w = [sum(gram[i][k] * v[k] for k in range(n)) for i in range(n)]
+            norm_w = math.sqrt(sum(x * x for x in w))
+            if norm_w == 0.0:
+                return rayleigh
+            v = [x / norm_w for x in w]
+            new = sum(v[i] * sum(gram[i][k] * v[k] for k in range(n)) for i in range(n))
+            if abs(new - rayleigh) <= 1e-12 * max(1.0, new):
+                return new
+            rayleigh = new
+        return rayleigh
+
+    top = max(iterate([1.0] * n), iterate([float(i + 1) for i in range(n)]))
+    return math.sqrt(max(top, 0.0))
 
 
 class TestChainData:
@@ -183,6 +212,18 @@ class TestOperatorNorm:
             m = IntMatrix(int(r), int(c), a.tolist())
             expected = float(np.linalg.norm(a, 2))
             assert operator_norm(m) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bit_identical_to_dense_power_iteration(self, data):
+        # the sparse product drops only zero terms and reuses the Rayleigh
+        # product as the next step, so every float must come out the same
+        r = data.draw(st.integers(1, 8))
+        c = data.draw(st.integers(1, 8))
+        entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7])
+        rows = data.draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+        m = IntMatrix(r, c, rows)
+        assert repr(operator_norm(m)) == repr(dense_operator_norm(m))
 
     def test_subdivided_circle_homotopy_norm(self):
         # strict upper-triangular ones on 8 cells = full triangular 7x7
