@@ -17,6 +17,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import index
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -98,14 +99,49 @@ def presentation_from_dict(d: dict) -> Presentation:
 
 def raag_from_dict(d: dict) -> tuple[RaagGraph, tuple[str, ...]]:
     try:
-        n = int(d["vertices"])
-        g = RaagGraph(n, frozenset((int(i), int(j)) for i, j in d.get("edges", [])))
+        n = index(d["vertices"])
+        g = RaagGraph(n, frozenset((index(i), index(j)) for i, j in d.get("edges", [])))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed graph data: {exc}") from None
-    names = tuple(str(x) for x in d.get("names", default_names(n)))
+    names = d.get("names", default_names(n))
+    if not isinstance(names, (list, tuple)):
+        raise InputError(f"field 'names' must be a list, got {names!r}")
+    names = tuple(str(x) for x in names)
     if len(names) != n:
         raise InputError("need exactly one name per vertex")
     return g, names
+
+
+def job_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise InputError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def integer_field(d: dict, key: str, default: Optional[int] = None) -> int:
+    """d[key] as an int; the default when the key is absent and one is given."""
+    if key not in d:
+        if default is None:
+            raise InputError(f"missing field {key!r}")
+        return default
+    try:
+        return index(d[key])
+    except TypeError:
+        raise InputError(f"field {key!r} must be an integer, got {d[key]!r}") from None
+
+
+def connector_from_dict(c) -> Connector:
+    c = job_object(c, "a connector")
+    try:
+        return Connector(
+            outer_label=integer_field(c, "outer_label"),
+            g_f=word(c["g_f"]),
+            witness=word(c["witness"]),
+            witness_in_subgroup=word(c["witness_in_subgroup"]),
+            witness_in_conjugate=word(c["witness_in_conjugate"]),
+        )
+    except KeyError as exc:
+        raise InputError(f"a connector is missing field {exc}") from None
 
 
 def words_field(d: dict, key: str, required: bool = True) -> Optional[tuple[Word, ...]]:
@@ -319,15 +355,16 @@ def cmd_qnormal_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 
 def _graph_from_job(job: dict, budget: int, radius: int) -> tuple[Presentation, CosetGraph]:
-    p = presentation_from_dict(job["group"]) if "group" in job else None
-    if p is None:
+    job = job_object(job, "a graph job")
+    if "group" not in job:
         raise InputError("missing field 'group'")
+    p = presentation_from_dict(job_object(job["group"], "field 'group'"))
     graph = build_coset_graph(
         p,
         words_field(job, "subgroup"),
         words_field(job, "generating_set"),
-        budget=int(job.get("budget", budget)),
-        radius=int(job.get("radius", radius)),
+        budget=integer_field(job, "budget", budget),
+        radius=integer_field(job, "radius", radius),
         witnesses=words_field(job, "witnesses", required=False),
     )
     return p, graph
@@ -366,16 +403,10 @@ def cmd_qnormal_blowup(args: argparse.Namespace, argv: Sequence[str]) -> int:
     p, outer = _graph_from_job(job["outer"], args.budget, args.radius)
     _, inner = _graph_from_job(job["inner"], args.budget, args.radius)
     subgroup_words = words_field(job, "subgroup_words")
-    connectors = tuple(
-        Connector(
-            outer_label=int(c["outer_label"]),
-            g_f=word(c["g_f"]),
-            witness=word(c["witness"]),
-            witness_in_subgroup=word(c["witness_in_subgroup"]),
-            witness_in_conjugate=word(c["witness_in_conjugate"]),
-        )
-        for c in job.get("connectors", [])
-    )
+    connectors = job.get("connectors", [])
+    if not isinstance(connectors, list):
+        raise InputError(f"field 'connectors' must be a list, got {connectors!r}")
+    connectors = tuple(connector_from_dict(c) for c in connectors)
     # the rewriter decomposes ambient words into letters of the outer
     # subgroup, whose generators are the outer graph's subgroup words
     rewriter = infer_solver(p, outer.subgroup_words)
@@ -402,7 +433,8 @@ def cmd_qnormal_blowup(args: argparse.Namespace, argv: Sequence[str]) -> int:
         "vertex_count_identity": blown.vertex_count_identity(),
     }
     if "direct" in job:
-        _, direct = _graph_from_job({"group": job["outer"]["group"], **job["direct"]}, args.budget, args.radius)
+        direct_job = {"group": job["outer"]["group"], **job_object(job["direct"], "field 'direct'")}
+        _, direct = _graph_from_job(direct_job, args.budget, args.radius)
         comparison = compare_blowup_with_direct(blown, direct)
         payload["comparison"] = {
             "common_vertices": comparison.common_vertices,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .errors import UndecidableContextError
+from .errors import InputError, UndecidableContextError
 from .intmat import IntMatrix, smith_normal_form
 from .words import (
     Presentation,
@@ -32,7 +32,7 @@ from .words import (
     complete_graph,
     free_graph,
     free_reduce,
-    raag_normal_form,
+    pile_normal_form,
     word,
 )
 
@@ -83,19 +83,39 @@ class WordProblemContext:
 
 
 class RaagContext(WordProblemContext):
-    """Exact word problem for a graph group via pile normal forms."""
+    """Exact word problem for a graph group via pile normal forms.
 
-    def __init__(self, graph: RaagGraph, names: Optional[Sequence[str]] = None, kind: str = "raag"):
+    The presentation is the one the context decides: by default the graph's
+    own, with sorted commutator relators.  A caller that already holds a
+    presentation of this graph group (relators in any order or orientation)
+    passes it in; only its rank is checked against the graph.
+    """
+
+    def __init__(self, graph: RaagGraph, presentation: Optional[Presentation] = None, kind: str = "raag"):
+        if presentation is None:
+            presentation = graph.presentation()
+        elif presentation.rank != graph.vertex_count:
+            raise InputError(
+                f"a presentation on {presentation.rank} generators cannot present "
+                f"the graph group on {graph.vertex_count} vertices"
+            )
         self.graph = graph
-        self.presentation = graph.presentation(names)
+        self.presentation = presentation
         self.kind = kind
         self.decides_equality = True
+        self._n = graph.vertex_count
+        self._non_commuters = graph.non_commuters
 
     def normal_form(self, w: Sequence[int]) -> Word:
-        return raag_normal_form(self.presentation.check_word(w), self.graph)
+        return pile_normal_form(self.presentation.check_word(w), self._n, self._non_commuters)
 
     def equal(self, u: Sequence[int], v: Sequence[int]) -> EqualityVerdict:
-        if self.normal_form(u) == self.normal_form(v):
+        u = self.presentation.check_word(u)
+        v = self.presentation.check_word(v)
+        if u == v:
+            return EqualityVerdict.EQUAL
+        n, non_commuters = self._n, self._non_commuters
+        if pile_normal_form(u, n, non_commuters) == pile_normal_form(v, n, non_commuters):
             return EqualityVerdict.EQUAL
         return EqualityVerdict.UNEQUAL
 
@@ -104,15 +124,17 @@ class RaagContext(WordProblemContext):
 
 
 def free_context(rank: int, names: Optional[Sequence[str]] = None) -> RaagContext:
-    return RaagContext(free_graph(rank), names, kind="free")
+    g = free_graph(rank)
+    return RaagContext(g, g.presentation(names), kind="free")
 
 
 def free_abelian_context(rank: int, names: Optional[Sequence[str]] = None) -> RaagContext:
-    return RaagContext(complete_graph(rank), names, kind="free-abelian")
+    g = complete_graph(rank)
+    return RaagContext(g, g.presentation(names), kind="free-abelian")
 
 
 def raag_context(graph: RaagGraph, names: Optional[Sequence[str]] = None) -> RaagContext:
-    return RaagContext(graph, names)
+    return RaagContext(graph, graph.presentation(names))
 
 
 class QuotientBatteryContext(WordProblemContext):
@@ -168,28 +190,36 @@ def context_for(p: Presentation) -> WordProblemContext:
     graph = classify_raag_presentation(p)
     if graph is None:
         return battery_context(p)
-    ctx = RaagContext(graph, p.generator_names)
-    # keep the relators in the order and orientation they were written in, so
-    # the context compares equal to the presentation it was classified from
-    ctx.presentation = p
-    return ctx
+    # the context keeps the relators in the order and orientation they were
+    # written in, so it compares equal to the presentation it was classified from
+    return RaagContext(graph, p)
 
 
 # ------------------------------------------------------------- abelianization
 
 
 def exponent_vector(w: Sequence[int], rank: int) -> tuple[int, ...]:
-    v = [0] * rank
-    for letter in word(w):
+    w = word(w)
+    for letter in w:
         if abs(letter) > rank:
-            raise ValueError(f"letter {letter} out of range for rank {rank}")
-        v[abs(letter) - 1] += 1 if letter > 0 else -1
+            raise InputError(f"letter {letter} out of range for rank {rank}")
+    return exponent_counts(w, rank)
+
+
+def exponent_counts(w: Word, rank: int) -> tuple[int, ...]:
+    """The exponent vector of a word already checked against the rank."""
+    v = [0] * rank
+    for x in w:
+        if x > 0:
+            v[x - 1] += 1
+        else:
+            v[-x - 1] -= 1
     return tuple(v)
 
 
 def relator_exponent_matrix(p: Presentation) -> IntMatrix:
     """Columns are the exponent vectors of the relators (rank x #relators)."""
-    cols = [exponent_vector(r, p.rank) for r in p.relators]
+    cols = [exponent_counts(r, p.rank) for r in p.relators]
     return IntMatrix(p.rank, len(cols), [[c[i] for c in cols] for i in range(p.rank)])
 
 
@@ -208,7 +238,7 @@ class AbelianizedImage:
 
 
 def abelianized_image(w: Sequence[int], p: Presentation) -> AbelianizedImage:
-    vec = exponent_vector(p.check_word(w), p.rank)
+    vec = exponent_counts(p.check_word(w), p.rank)
     res = _relator_snf(p)
     uv = [sum(res.U.data[i][k] * vec[k] for k in range(p.rank)) for i in range(p.rank)]
     factors = res.invariant_factors
@@ -265,8 +295,6 @@ def infinite_order_certificate(w: Sequence[int], ctx: WordProblemContext) -> Inf
       Surviving merely modulo the lattice is not enough -- the image could be
       a torsion class -- so that case stays INCONCLUSIVE.
     """
-    p = ctx.presentation
-    w = p.check_word(w)
     if ctx.decides_equality:
         nf = ctx.normal_form(w)
         if nf == ():
@@ -278,7 +306,7 @@ def infinite_order_certificate(w: Sequence[int], ctx: WordProblemContext) -> Inf
             "graph-group-normal-form",
             f"nontrivial normal form {nf} in a torsion-free group",
         )
-    img = abelianized_image(w, p)
+    img = abelianized_image(w, ctx.presentation)
     if img.infinite_order_in_abelianization:
         return InfiniteOrderCertificate(
             CertificateStatus.PROVEN_INFINITE,

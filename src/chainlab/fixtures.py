@@ -15,7 +15,7 @@ from the graph on Z^2 / <x, y^2> and the graph on <x, y^2> / <x>.
 
 from __future__ import annotations
 
-from .contexts import RaagContext, WordProblemContext, free_abelian_context
+from .contexts import WordProblemContext, free_abelian_context, raag_context
 from .qnormal import (
     AbelianCosetSolver,
     Connector,
@@ -93,9 +93,9 @@ def golden_chain() -> tuple[QNormalChainCertificate, tuple[WordProblemContext, .
     )
     cert = QNormalChainCertificate(steps=(step0, step1, step2), base=(1,))
     contexts = (
-        RaagContext(star, GOLDEN_AMBIENT_NAMES[0]),
-        RaagContext(k22, GOLDEN_AMBIENT_NAMES[1]),
-        RaagContext(cone, GOLDEN_AMBIENT_NAMES[2]),
+        raag_context(star, GOLDEN_AMBIENT_NAMES[0]),
+        raag_context(k22, GOLDEN_AMBIENT_NAMES[1]),
+        raag_context(cone, GOLDEN_AMBIENT_NAMES[2]),
     )
     return cert, contexts
 

@@ -108,9 +108,6 @@ class IntMatrix:
     def column(self, j: int) -> list[int]:
         return [row[j] for row in self.data]
 
-    def to_rows(self) -> list[list[int]]:
-        return [row[:] for row in self.data]
-
     def _same_shape(self, other: "IntMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")

@@ -29,9 +29,9 @@ from .contexts import (
     InfiniteOrderCertificate,
     WordProblemContext,
     classify_raag_presentation,
+    exponent_counts,
     exponent_vector,
     infinite_order_certificate,
-    relator_exponent_matrix,
 )
 from .coset import CosetTable, todd_coxeter
 from .errors import (
@@ -49,6 +49,7 @@ from .words import (
     Word,
     free_reduce,
     inverse_word,
+    pile_normal_form,
     raag_normal_form,
     word,
 )
@@ -107,8 +108,10 @@ class QNormalWitnessSet:
             raise InputError("need exactly one witness per generating-set element")
         if not self.subgroup_words:
             raise InputError("the subgroup needs at least one generator word")
-        for w in self.subgroup_words + self.generating_set:
-            self.ambient.check_word(w)
+        # keep the checked words, so that code below trusts them
+        check = self.ambient.check_word
+        object.__setattr__(self, "subgroup_words", tuple(map(check, self.subgroup_words)))
+        object.__setattr__(self, "generating_set", tuple(map(check, self.generating_set)))
         for wit in self.witnesses:
             self.ambient.check_word(wit.w)
             for expr in (wit.expr_in_subgroup, wit.expr_in_conjugate):
@@ -146,13 +149,16 @@ class QNormalReport:
 
 
 def _spans_abelianization(ws: QNormalWitnessSet) -> bool:
-    """Do the exponent images of S generate the abelianization of the ambient group?"""
+    """Do the exponent images of S generate the abelianization of the ambient group?
+
+    The relators and S were checked when the witness set was built.  Zero
+    columns (every commutator relator gives one) do not change the lattice
+    the columns span, so the matrix leaves them out.
+    """
     p = ws.ambient
-    rel = relator_exponent_matrix(p)
-    cols = rel.to_rows()
-    gen_cols = [exponent_vector(s, p.rank) for s in ws.generating_set]
-    data = [[row[j] for j in range(rel.cols)] + [g[i] for g in gen_cols] for i, row in enumerate(cols)]
-    m = IntMatrix(p.rank, rel.cols + len(gen_cols), data)
+    vectors = (exponent_counts(w, p.rank) for w in p.relators + ws.generating_set)
+    cols = [v for v in vectors if any(v)]
+    m = IntMatrix(p.rank, len(cols), [[c[i] for c in cols] for i in range(p.rank)])
     res = smith_normal_form(m)
     return res.rank == p.rank and all(f == 1 for f in res.invariant_factors)
 
@@ -361,7 +367,8 @@ class ParabolicCosetSolver(CosetSolver):
         self.description = f"graph-group parabolic on vertices {sorted(self.parabolic)}"
 
     def canonical(self, w: Sequence[int]) -> Word:
-        current = raag_normal_form(word(w), self.graph)
+        current = raag_normal_form(w, self.graph)
+        n, non_commuters = self.graph.vertex_count, self.graph.non_commuters
         while True:
             removed = False
             for i in range(len(current) - 1, -1, -1):
@@ -369,7 +376,7 @@ class ParabolicCosetSolver(CosetSolver):
                 if abs(letter) not in self.parabolic:
                     continue
                 if all(self.graph.adjacent(abs(letter), abs(t)) for t in current[i + 1:]):
-                    current = raag_normal_form(current[:i] + current[i + 1:], self.graph)
+                    current = pile_normal_form(current[:i] + current[i + 1:], n, non_commuters)
                     removed = True
                     break
             if not removed:
@@ -377,7 +384,7 @@ class ParabolicCosetSolver(CosetSolver):
 
     def to_subgroup_letters(self, w: Sequence[int]) -> Optional[Word]:
         out = []
-        for letter in raag_normal_form(word(w), self.graph):
+        for letter in raag_normal_form(w, self.graph):
             if abs(letter) not in self.relabel:
                 return None
             new = self.relabel[abs(letter)]

@@ -183,13 +183,16 @@ def commuting_vertex_walk(g: RaagGraph, start: int = 1) -> tuple[int, ...]:
     through already-visited vertices), so every connected graph admits one.
     Raises for disconnected graphs.
     """
-    n = g.vertex_count
-    if not (1 <= start <= n):
-        raise InputError(f"start vertex {start} out of range")
-    if n == 1:
-        return (1,)
-    if not g.is_connected():
+    walk = _depth_first_walk(g, start)
+    if walk is None:
         raise InputError("the graph is disconnected: no edge walk meets every vertex")
+    return walk
+
+
+def _depth_first_walk(g: RaagGraph, start: int) -> Optional[tuple[int, ...]]:
+    """The walk of commuting_vertex_walk, or None when it cannot meet every vertex."""
+    if not (1 <= start <= g.vertex_count):
+        raise InputError(f"start vertex {start} out of range")
     visited = {start}
     walk = [start]
 
@@ -202,6 +205,8 @@ def commuting_vertex_walk(g: RaagGraph, start: int = 1) -> tuple[int, ...]:
                 walk.append(u)
 
     dfs(start)
+    if len(visited) != g.vertex_count:
+        return None
     last_new = max(walk.index(v) for v in visited)
     return tuple(walk[: last_new + 1])
 
@@ -226,9 +231,9 @@ def chain_commuting_sequence(g: RaagGraph, start: int = 1) -> Optional[ChainComm
     generator certified of infinite order; disconnected graphs yield None,
     since no walk along edges can meet every vertex.
     """
-    if g.vertex_count > 1 and not g.is_connected():
+    walk = _depth_first_walk(g, start)
+    if walk is None:
         return None
-    walk = commuting_vertex_walk(g, start)
     ctx = raag_context(g)
     elements = tuple((v,) for v in walk)
     proofs = tuple(
@@ -258,6 +263,13 @@ def emit_qnormal_chain(
     single-vertex graph yields the zero-step chain consisting of the base
     element alone.
     """
+    return _parabolic_chain(seq, g, names)[0]
+
+
+def _parabolic_chain(
+    seq: ChainCommutingSequence, g: RaagGraph, names: Optional[Sequence[str]] = None
+) -> tuple[QNormalChainCertificate, tuple[RaagGraph, ...]]:
+    """emit_qnormal_chain's certificate, with the induced graph of each step's ambient."""
     names = tuple(names) if names is not None else default_names(g.vertex_count)
     if len(names) != g.vertex_count:
         raise InputError("need exactly one name per vertex")
@@ -283,12 +295,14 @@ def emit_qnormal_chain(
                 predecessor[v] = walk[i - 1]
 
     if len(order) == 1:
-        return QNormalChainCertificate(steps=(), base=(1,))
+        return QNormalChainCertificate(steps=(), base=(1,)), ()
 
     steps: list[QNormalWitnessSet] = []
+    graphs: list[RaagGraph] = []
     for k in range(1, len(order)):
         vs = order[: k + 1]
         sub = g.induced(vs)
+        graphs.append(sub)
         pres = sub.presentation([names[v - 1] for v in vs])
         position = {v: i + 1 for i, v in enumerate(vs)}
         witnesses = [
@@ -307,7 +321,7 @@ def emit_qnormal_chain(
                 witnesses=tuple(witnesses),
             )
         )
-    return QNormalChainCertificate(steps=tuple(steps), base=(1,))
+    return QNormalChainCertificate(steps=tuple(steps), base=(1,)), tuple(graphs)
 
 
 def exact_chain_contexts(cert: QNormalChainCertificate) -> tuple[WordProblemContext, ...]:
@@ -338,12 +352,21 @@ class ChainCommutingReport:
 
 
 def chain_commuting_report(g: RaagGraph) -> ChainCommutingReport:
-    """Build and verify the parabolic q-normal chain, or record why none exists."""
+    """Build and verify the parabolic q-normal chain, or record why none exists.
+
+    Each step is decided in the graph group of the induced graph it was
+    emitted from, with the step's ambient as the context's presentation; the
+    zero-step chain of a single vertex is decided in the group of g itself.
+    """
     seq = chain_commuting_sequence(g)
     if seq is None:
         return ChainCommutingReport(g, False, None, None, None)
-    cert = emit_qnormal_chain(seq, g)
-    report = verify_chain(cert, exact_chain_contexts(cert))
+    cert, graphs = _parabolic_chain(seq, g)
+    if cert.steps:
+        contexts = tuple(RaagContext(sub, step.ambient) for sub, step in zip(graphs, cert.steps))
+    else:
+        contexts = (raag_context(g),)
+    report = verify_chain(cert, contexts)
     return ChainCommutingReport(g, True, seq, cert, report)
 
 
@@ -447,9 +470,9 @@ def artin_chain_commuting(ag: ArtinGraph, start: int = 1) -> Optional[ChainCommu
     all labels are 2, and from abelianization images otherwise.
     """
     g = ag.base
-    if g.vertex_count > 1 and not g.is_connected():
+    walk = _depth_first_walk(g, start)
+    if walk is None:
         return None
-    walk = commuting_vertex_walk(g, start)
     if ag.is_raag:
         ctx: WordProblemContext = raag_context(g)
     else:
@@ -508,7 +531,7 @@ def artin_central_chain(
     cert = QNormalChainCertificate(steps=(ws,), base=z)
     if m == 2:
         graph = RaagGraph(2, frozenset({(1, 2)}))
-        ctx: WordProblemContext = RaagContext(graph, ("s", "t"))
+        ctx: WordProblemContext = raag_context(graph, ("s", "t"))
     else:
         ctx = battery_context(pres, [symmetric_quotient_probe(m)])
     return cert, (ctx,)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
+from operator import index, mul
 
 from .errors import InputError, VerificationFailure
 from .intmat import IntMatrix
@@ -389,7 +389,7 @@ def _matrix_to_json(m: IntMatrix) -> dict:
 
 def _matrix_from_json(d: dict) -> IntMatrix:
     try:
-        return IntMatrix(int(d["rows"]), int(d["cols"]), [list(map(int, r)) for r in d["entries"]])
+        return IntMatrix(index(d["rows"]), index(d["cols"]), [list(map(index, r)) for r in d["entries"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed matrix data: {exc}") from None
 
@@ -405,11 +405,11 @@ def complex_to_dict(c: CWChainData) -> dict:
 def complex_from_dict(d: dict) -> CWChainData:
     try:
         return CWChainData(
-            alpha=int(d["alpha"]),
-            cell_counts=tuple(int(c) for c in d["cell_counts"]),
+            alpha=index(d["alpha"]),
+            cell_counts=tuple(map(index, d["cell_counts"])),
             boundaries=tuple(_matrix_from_json(b) for b in d["boundaries"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed chain-complex data: {exc}") from None
 
 

@@ -1,5 +1,8 @@
 """End-to-end runs of the command-line interface against the sample corpus."""
 
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
@@ -7,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chainlab.cli import main, parse_element
 from chainlab.errors import InputError
@@ -315,6 +320,16 @@ class TestRebuildCommand:
         assert report["validation"]["all_pass"] is False
         assert {"name": "homotopy degree 0", "passed": False} in report["validation"]["checks"]
 
+    def test_fractional_matrix_entry_is_refused_not_truncated(self, tmp_path, capsys):
+        data = read_json(DATA / "subdiv_circle_8.json")
+        entries = data["big"]["boundaries"][0]["entries"]
+        assert entries[0][0] == -1
+        entries[0][0] = -1.5  # int() would silently read it as -1
+        path = write_json(tmp_path / "frac.json", data)
+        rc = main(["rebuild", "check", str(path), "--T", "8", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "malformed" in capsys.readouterr().err
+
 
 class TestManifests:
     def test_manifest_records_run_and_reports_reference_it(self, tmp_path):
@@ -353,3 +368,76 @@ class TestManifests:
         )
         assert proc.returncode == 0
         assert "chainlab" in proc.stdout
+
+
+# ------------------------------------------------------- exit-code contract
+
+# (argv before the job file, job file in data/, argv after it)
+FUZZ_JOBS = (
+    (["qnormal", "verify"], "golden_chain.json", []),
+    (["qnormal", "verify"], "c4_chain.json", []),
+    (["qnormal", "verify"], "broken_chain.json", []),
+    (["qnormal", "graph"], "plane_graph_job.json", []),
+    (["qnormal", "blowup"], "plane_blowup_job.json", []),
+    (["qnormal", "trim"], "trim_job.json", []),
+    (["raag", "analyze"], "c4.json", []),
+    (["raag", "analyze"], "p3.json", []),
+    (["rebuild", "check"], "subdiv_circle_8.json", ["--T", "8"]),
+)
+DELETE = "<delete the key>"
+# small numbers only, so that no mutated budget or radius starts a large
+# enumeration; 9 is beyond the rank of every group in data/
+MUTATIONS = (DELETE, None, "x", 0, -1, 1.5, [], {}, [0], 9)
+
+
+def _field_paths(value, prefix=()):
+    """Paths to every field of a JSON value, the first three entries of each list."""
+    paths = [prefix] if prefix else []
+    if isinstance(value, dict):
+        for key, item in value.items():
+            paths += _field_paths(item, prefix + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value[:3]):
+            paths += _field_paths(item, prefix + (i,))
+    return paths
+
+
+def _mutated(job, path, mutation):
+    job = copy.deepcopy(job)
+    parent = job
+    for key in path[:-1]:
+        parent = parent[key]
+    if mutation == DELETE:
+        if isinstance(parent, dict):
+            del parent[path[-1]]
+        else:
+            parent.pop(path[-1])
+    else:
+        parent[path[-1]] = mutation
+    return job
+
+
+FUZZ_CASES = [
+    (head, read_json(DATA / name), tail, _field_paths(read_json(DATA / name)))
+    for head, name, tail in FUZZ_JOBS
+]
+
+
+@st.composite
+def mutated_jobs(draw):
+    head, job, tail, paths = draw(st.sampled_from(FUZZ_CASES))
+    path = draw(st.sampled_from(paths))
+    return head, _mutated(job, path, draw(st.sampled_from(MUTATIONS))), tail
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_jobs())
+def test_mutated_data_jobs_keep_the_exit_code_contract(tmp_path_factory, case):
+    head, job, tail = case
+    work = tmp_path_factory.mktemp("fuzz")
+    path = write_json(work / "job.json", job)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(head + [str(path)] + tail + ["--out", str(work / "out")])
+    assert code in (0, 2, 3, 4), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import chainlab.raag as raag_module
 from chainlab.errors import InputError
 from chainlab.qnormal import QNormalStatus, verify_chain
 from chainlab.raag import (
@@ -98,6 +99,17 @@ class TestCommutingWalks:
 
     def test_single_vertex_walk(self):
         assert commuting_vertex_walk(raag_graph(1, [])) == (1,)
+
+    def test_sequence_leaves_the_connectivity_check_to_the_walk(self, monkeypatch):
+        def no_second_check(self):
+            raise AssertionError("connectivity is decided by the walk")
+
+        monkeypatch.setattr(RaagGraph, "is_connected", no_second_check)
+        assert chain_commuting_sequence(raag_graph(3, [(1, 2)])) is None
+        assert chain_commuting_sequence(cycle4()).elements[0] == (1,)
+        assert artin_chain_commuting(artin_graph(3, {(1, 2): 3})) is None
+        with pytest.raises(InputError):
+            commuting_vertex_walk(raag_graph(3, [(1, 2)]))
 
     def test_disconnected_walk_raises(self):
         with pytest.raises(InputError):
@@ -230,6 +242,35 @@ class TestExhaustiveSweep:
                 assert rep.chain_commuting, f"n={n}, edges={sorted(g.edges)}"
                 total += 1
         assert total == 1 + 1 + 4 + 38 + 728
+
+    def test_handed_over_contexts_match_exact_chain_contexts(self, monkeypatch):
+        # chain_commuting_report builds each step's context from the induced
+        # graph it emitted; the round trip through context_for must agree
+        handed = []
+
+        def recording_verify_chain(cert, contexts):
+            handed.append(contexts)
+            return verify_chain(cert, contexts)
+
+        monkeypatch.setattr(raag_module, "verify_chain", recording_verify_chain)
+        total = 0
+        for n in range(1, 6):
+            for g in _connected_graphs(n):
+                handed.clear()
+                rep = chain_commuting_report(g)
+                (contexts,) = handed
+                exact = exact_chain_contexts(rep.certificate)
+                assert [(c.graph, c.presentation) for c in contexts] == [
+                    (c.graph, c.presentation) for c in exact
+                ], sorted(g.edges)
+                reference = verify_chain(rep.certificate, exact)
+                assert rep.verification.status is reference.status
+                assert [s.report.witness_reports for s in rep.verification.step_reports] == [
+                    s.report.witness_reports for s in reference.step_reports
+                ]
+                assert rep.verification == reference
+                total += 1
+        assert total == 772
 
     @pytest.mark.slow
     def test_all_connected_graphs_on_six_vertices_proven(self):

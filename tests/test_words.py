@@ -1,7 +1,17 @@
+import itertools
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainlab.contexts import (
+    EqualityVerdict,
+    RaagContext,
+    battery_context,
+    infinite_order_certificate,
+)
+from chainlab.errors import InputError
 from chainlab.words import (
     RaagGraph,
     commutator,
@@ -12,6 +22,7 @@ from chainlab.words import (
     free_graph,
     free_reduce,
     inverse_word,
+    max_letter,
     parse_word,
     power,
     presentation,
@@ -222,3 +233,127 @@ def test_words_commute():
     # central element of the 2-strand even braid: (st)^2 in a 2-clique
     sq = power((1, 2), 2)
     assert words_commute(sq, (1,), complete_graph(2))
+
+
+# ------------------------------------------- the deque pile kernel as oracle
+
+
+def deque_normal_form_oracle(w, g):
+    """The deque-based piling raag_normal_form used before its trusted kernel.
+
+    Kept verbatim apart from computing the non-commuter lists inline: every
+    pile holds +1/-1 per own letter and a 0 per non-commuting letter, and is
+    read back with popleft.
+    """
+    n = g.vertex_count
+    w = word(w)
+    if max_letter(w) > n:
+        raise ValueError(f"word {w} uses a generator beyond the {n} declared")
+    non_comm = [
+        tuple(j for j in range(1, n + 1) if j != i and not g.adjacent(i, j)) for i in range(1, n + 1)
+    ]
+    piles = [deque() for _ in range(n + 1)]  # 1-based
+    for letter in w:
+        i, eps = abs(letter), (1 if letter > 0 else -1)
+        pile = piles[i]
+        if pile and pile[-1] == -eps:
+            pile.pop()
+            for j in non_comm[i - 1]:
+                top = piles[j].pop()
+                assert top == 0, "pile invariant broken"
+        else:
+            pile.append(eps)
+            for j in non_comm[i - 1]:
+                piles[j].append(0)
+    out = []
+    while True:
+        emitted = False
+        for i in range(1, n + 1):
+            pile = piles[i]
+            if pile and pile[0] != 0:
+                eps = pile.popleft()
+                out.append(eps * i)
+                for j in non_comm[i - 1]:
+                    front = piles[j].popleft()
+                    assert front == 0, "pile invariant broken"
+                emitted = True
+                break
+        if not emitted:
+            assert all(not p for p in piles), "pile invariant broken"
+            return tuple(out)
+
+
+@st.composite
+def graph_and_two_words(draw):
+    """A graph on 1-8 vertices, a word u of up to 40 letters, and a word v.
+
+    v is either an independent word or u rewritten into an equal word: a
+    cancelling pair inserted and adjacent commuting letters swapped.
+    """
+    n = draw(st.integers(1, 8))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    g = RaagGraph(n, frozenset(edges))
+    letters = st.integers(1, n).flatmap(lambda i: st.sampled_from((i, -i)))
+    u = tuple(draw(st.lists(letters, max_size=40)))
+    if draw(st.booleans()):
+        v = tuple(draw(st.lists(letters, max_size=40)))
+    else:
+        x = draw(letters)
+        k = draw(st.integers(0, len(u)))
+        v = list(u[:k] + (x, -x) + u[k:])
+        for i in draw(st.lists(st.integers(0, len(v) - 2), max_size=10)):
+            a, b = abs(v[i]), abs(v[i + 1])
+            if a != b and g.adjacent(a, b):
+                v[i], v[i + 1] = v[i + 1], v[i]
+        v = tuple(v)
+    return g, u, v
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph_and_two_words())
+def test_trusted_kernel_matches_deque_oracle(case):
+    g, u, v = case
+    ctx = RaagContext(g)
+    nu, nv = deque_normal_form_oracle(u, g), deque_normal_form_oracle(v, g)
+    assert raag_normal_form(u, g) == nu
+    assert ctx.normal_form(u) == nu and ctx.normal_form(v) == nv
+    expected = EqualityVerdict.EQUAL if nu == nv else EqualityVerdict.UNEQUAL
+    assert ctx.equal(u, v) is expected
+
+
+@pytest.mark.parametrize("bad", [(0,), (1, 0, 2), (5,), (2, -5)])
+def test_every_entry_point_rejects_bad_letters(bad):
+    ctx = RaagContext(C4)
+    battery = battery_context(C4.presentation())
+    with pytest.raises(InputError):
+        raag_normal_form(bad, C4)
+    with pytest.raises(InputError):
+        ctx.normal_form(bad)
+    with pytest.raises(InputError):
+        ctx.equal(bad, (1,))
+    with pytest.raises(InputError):
+        ctx.equal((1,), bad)
+    with pytest.raises(InputError):
+        ctx.equal(bad, bad)  # identical words are checked before they are compared
+    for context in (ctx, battery):
+        with pytest.raises(InputError):
+            infinite_order_certificate(bad, context)
+
+
+@pytest.mark.parametrize("bad", [(1, "x"), (1, None), None, 3, (1.5,), [2.0], ["2"], (1.5, 0)])
+def test_non_integer_letters_are_input_errors(bad):
+    for check in (word, free_reduce, C4.presentation().check_word, lambda w: raag_normal_form(w, C4)):
+        with pytest.raises(InputError):
+            check(bad)
+
+
+def test_check_word_returns_a_tuple_of_ints():
+    # a tuple of ints passes the one-pass check as it is; a list or other
+    # integer types are converted by word()
+    p = C4.presentation()
+    w = (1, -3)
+    assert p.check_word(w) is w
+    assert p.check_word([True, 2, -3]) == (1, 2, -3)
+    assert type(p.check_word((True,))[0]) is int
+    assert raag_normal_form([3, 1, -3], C4) == (1,)
