@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import index
+from operator import index, itemgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -191,6 +192,113 @@ def _jsonable(value):
     return value
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def report_json(value, default=_jsonable) -> str:
+    """The bytes of ``json.dumps(value, indent=2, sort_keys=True, default=default)``.
+
+    json's indented encoder is pure Python and yields one scalar at a time.
+    This writer joins a list of ints, and a list of int-valued dicts that
+    share their keys (graph edges), in one ``str.join`` each; everything else
+    follows the encoder's rules, including that floats never reach
+    ``default`` (an infinite float is written as the bare ``Infinity``).
+    """
+    out: list[str] = []
+    _encode(value, "\n", out, default)
+    return "".join(out)
+
+
+def _scalar(o) -> Optional[str]:
+    if isinstance(o, str):
+        return _encode_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o in (float("inf"), float("-inf")):
+            return "Infinity" if o > 0 else "-Infinity"
+        return float.__repr__(o)
+    return None
+
+
+def _int_rows(items, keys: list) -> Optional[list]:
+    """Per item, its values in key order; None unless every item is a dict
+    with exactly these keys and int values."""
+    if any(type(item) is not dict or len(item) != len(keys) for item in items):
+        return None
+    try:
+        rows = list(map(itemgetter(*keys), items))
+    except KeyError:
+        return None
+    if len(keys) == 1:
+        rows = [(value,) for value in rows]
+    if set(map(type, itertools.chain.from_iterable(rows))) != {int}:
+        return None
+    return rows
+
+
+def _encode(o, newline: str, out: list, default) -> None:
+    text = _scalar(o)
+    if text is not None:
+        out.append(text)
+        return
+    inner = newline + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        if all(type(x) is int for x in o):
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, o)) + newline + "]")
+            return
+        first = o[0]
+        if type(first) is dict and first and all(type(k) is str for k in first):
+            keys = sorted(first)
+            rows = _int_rows(o, keys)
+            if rows is not None:
+                field_line = inner + "  "
+                row = "{" + field_line + ("," + field_line).join(
+                    _encode_str(k).replace("%", "%%") + ": %d" for k in keys
+                ) + inner + "}"
+                out.append("[" + inner + ("," + inner).join(row % r for r in rows) + newline + "]")
+                return
+        separator = inner
+        out.append("[")
+        for item in o:
+            out.append(separator)
+            separator = "," + inner
+            _encode(item, inner, out, default)
+        out.append(newline + "]")
+        return
+    if isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        separator = inner
+        out.append("{")
+        for key, item in sorted(o.items()):
+            if not isinstance(key, str):
+                if not (key is None or isinstance(key, (int, float))):
+                    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+                key = _scalar(key)
+            out.append(separator + _encode_str(key) + ": ")
+            separator = "," + inner
+            _encode(item, inner, out, default)
+        out.append(newline + "}")
+        return
+    replaced = default(o)
+    if replaced is o:
+        raise ValueError("Circular reference detected")
+    _encode(replaced, newline, out, default)
+
+
 # ------------------------------------------------------------- run manifests
 
 
@@ -241,7 +349,7 @@ class Run:
         body = {"manifest": MANIFEST_NAME}
         body.update(payload)
         path = self.dir / name
-        path.write_text(json.dumps(body, indent=2, sort_keys=True, default=_jsonable) + "\n", encoding="utf-8")
+        path.write_text(report_json(body) + "\n", encoding="utf-8")
         self.manifest.outputs.append(name)
         return path
 

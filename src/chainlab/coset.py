@@ -7,16 +7,26 @@ are merged immediately through a union-find queue.  Enumeration either
 completes (finite index) or raises BudgetExceededError once the total number
 of cosets ever defined passes the budget.
 
+The enumeration scans column-index lists built once per relator and subgroup
+word, skips without a call any relator scan that closes up with no gap, and
+queues coincidences in a deque.
+
 Tables act on the right: ``action[g-1][c-1]`` is the image of coset c under
-the generator g.  The base coset 1 is the subgroup itself.  Fixed-point counts
-of left translation on left cosets equal those of the right action of the
-same word (the inversion bijection between the two coset spaces matches the
-fixed sets), so fixed-point ratios are computed directly on the table.
+the generator g.  The base coset 1 is the subgroup itself.  Every lookup reads
+the column store ``CosetTable.columns``, one tuple per signed letter, padded
+so that ``columns[x][c]`` is c.x and indexed by the letter itself (column -g
+is Python's negative index).  Tracing a word is one lookup per letter, and a
+word's permutation composes whole columns, one list comprehension per letter.
+Fixed-point counts of left translation on left cosets equal those of the
+right action of the same word (the inversion bijection between the two coset
+spaces matches the fixed sets), so fixed-point ratios are computed directly
+on the table.
 """
 
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -62,55 +72,72 @@ class CosetTable:
                 raise InputError(f"generator action {perm} is not a permutation of 1..{self.index}")
 
     @cached_property
-    def _inverse_action(self) -> tuple[tuple[int, ...], ...]:
-        out = []
-        for perm in self.action:
-            inv = [0] * self.index
-            for c, img in enumerate(perm, start=1):
-                inv[img - 1] = c
-            out.append(tuple(inv))
-        return tuple(out)
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """The column store: per signed letter x, the tuple (0, 1.x, ..., index.x).
 
-    def apply(self, coset: int, letter: int) -> int:
-        if letter > 0:
-            return self.action[letter - 1][coset - 1]
-        return self._inverse_action[-letter - 1][coset - 1]
+        The table has 2r + 1 columns and is indexed by the letter itself:
+        column g holds the action of generator g, column -g (Python's negative
+        indexing) its inverse, and column 0 the identity.  Each column is
+        padded with a leading 0 so that coset c is read at position c.
+        """
+        inverse = []
+        for perm in self.action:
+            inv = [0] * (self.index + 1)
+            for c, img in enumerate(perm, start=1):
+                inv[img] = c
+            inverse.append(tuple(inv))
+        forward = [(0,) + perm for perm in self.action]
+        return (tuple(range(self.index + 1)),) + tuple(forward) + tuple(reversed(inverse))
 
     def trace(self, coset: int, w: Sequence[int]) -> int:
-        for letter in w:
-            coset = self.apply(coset, letter)
+        """coset.w, one column lookup per letter of the checked word."""
+        columns = self.columns
+        for letter in self.presentation.check_word(w):
+            coset = columns[letter][coset]
         return coset
 
     def word_permutation(self, w: Sequence[int]) -> tuple[int, ...]:
         w = self.presentation.check_word(w)
-        return tuple(self.trace(c, w) for c in range(1, self.index + 1))
+        return self._compose(w)[1:]
+
+    def _compose(self, w: Word) -> tuple[int, ...]:
+        """The padded column of a checked word: one list comprehension per letter."""
+        columns = self.columns
+        perm = columns[0]
+        for letter in w:
+            column = columns[letter]
+            perm = [column[c] for c in perm]
+        return tuple(perm)
 
     @cached_property
-    def _breadth_first(self) -> tuple[tuple[Word, ...], tuple[tuple[int, int], ...]]:
+    def _breadth_first(self) -> tuple[tuple[Word, ...], tuple[tuple[int, int, int], ...]]:
         """One BFS from the base coset over letters +1..+r,-1..-r.
 
-        Returns the representative words and, for every coset reached after
-        the base, the Schreier-graph edge (s, c) -- from c to c.s -- that first
-        reached it.  Raises InputError unless the action is transitive.
+        Returns the representative words and, in discovery order, one step
+        (c, x, c.x) per coset reached after the base: the Schreier-graph edge
+        that first reached it.  Raises InputError unless the action is
+        transitive.
         """
-        letters = [g for g in range(1, self.presentation.rank + 1)]
-        letters += [-g for g in range(1, self.presentation.rank + 1)]
-        reps: dict[int, Word] = {1: ()}
-        tree: list[tuple[int, int]] = []
+        rank = self.presentation.rank
+        letters = list(range(1, rank + 1)) + list(range(-1, -rank - 1, -1))
+        columns = self.columns
+        reps: list = [None] * (self.index + 1)
+        reps[1] = ()
+        steps: list[tuple[int, int, int]] = []
         queue = [1]
         while queue:
             nxt = []
             for c in queue:
                 for letter in letters:
-                    d = self.apply(c, letter)
-                    if d not in reps:
+                    d = columns[letter][c]
+                    if reps[d] is None:
                         reps[d] = reps[c] + (letter,)
-                        tree.append((letter, c) if letter > 0 else (-letter, d))
+                        steps.append((c, letter, d))
                         nxt.append(d)
             queue = nxt
-        if len(reps) != self.index:
+        if len(steps) != self.index - 1:
             raise InputError("the generator actions do not act transitively")
-        return tuple(reps[c] for c in range(1, self.index + 1)), tuple(tree)
+        return tuple(reps[1:]), tuple(steps)
 
     @property
     def transversal(self) -> tuple[Word, ...]:
@@ -118,15 +145,17 @@ class CosetTable:
         return self._breadth_first[0]
 
     @property
-    def spanning_tree(self) -> tuple[tuple[int, int], ...]:
-        """index - 1 edges (s, c) of the Schreier graph forming a spanning tree."""
+    def spanning_tree(self) -> tuple[tuple[int, int, int], ...]:
+        """The BFS tree of the Schreier graph as index - 1 steps (c, x, c.x),
+        x a signed letter, in discovery order: each step's c was reached
+        before it."""
         return self._breadth_first[1]
 
     def verify(self) -> None:
         """Re-check the defining invariants (raises InputError on failure)."""
-        identity = tuple(range(1, self.index + 1))
+        identity = self.columns[0]
         for r in self.presentation.relators:
-            if self.word_permutation(r) != identity:
+            if self._compose(r) != identity:
                 raise InputError(f"relator {r} does not act trivially")
         for s in self.subgroup_generators:
             if self.trace(1, s) != 1:
@@ -162,11 +191,12 @@ def todd_coxeter(
     rank = p.rank
     ncols = 2 * rank
 
-    def col(letter: int) -> int:
-        return 2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
+    def columns_of(w: Word) -> list[int]:
+        """Column indices of a word's letters: 2(g-1) for g, 2(g-1)+1 for -g."""
+        return [2 * x - 2 if x > 0 else -2 * x - 1 for x in w]
 
-    def inv_col(c: int) -> int:
-        return c ^ 1
+    # an empty relator scans to nothing, so it is left out
+    relator_columns = [columns_of(r) for r in p.relators if r]
 
     table: list[Optional[list[int]]] = [None, [0] * ncols]  # 1-based rows
     rep: list[int] = [0, 1]
@@ -189,7 +219,7 @@ def todd_coxeter(
         defined += 1
         return len(table) - 1
 
-    pending: list[tuple[int, int]] = []
+    pending: deque[tuple[int, int]] = deque()
 
     def merge(a: int, b: int) -> None:
         a, b = find(a), find(b)
@@ -202,7 +232,7 @@ def todd_coxeter(
 
     def process_coincidences() -> None:
         while pending:
-            a, dead = pending.pop(0)
+            a, dead = pending.popleft()
             row = table[dead]
             table[dead] = None
             for x in range(ncols):
@@ -210,29 +240,28 @@ def todd_coxeter(
                 if d == 0:
                     continue
                 drow = table[find(d)]
-                if drow is not None and drow[inv_col(x)] == dead:
-                    drow[inv_col(x)] = 0
+                if drow is not None and drow[x ^ 1] == dead:
+                    drow[x ^ 1] = 0
                 mu, delta = find(dead), find(d)
                 murow, deltarow = table[mu], table[delta]
                 if murow[x] != 0:
                     merge(delta, murow[x])
-                elif deltarow[inv_col(x)] != 0:
-                    merge(mu, deltarow[inv_col(x)])
+                elif deltarow[x ^ 1] != 0:
+                    merge(mu, deltarow[x ^ 1])
                 else:
                     murow[x] = delta
-                    deltarow[inv_col(x)] = mu
+                    deltarow[x ^ 1] = mu
 
-    def scan_and_fill(alpha: int, w: Word) -> None:
-        if not w:
-            return
+    def scan_and_fill(alpha: int, w: list[int]) -> None:
+        """Scan the column list w at alpha from both ends, filling the gap."""
         f, i = alpha, 0
         b, r = alpha, len(w) - 1
         while True:
             while i <= r:
-                nxt = table[f][col(w[i])]
+                nxt = table[f][w[i]]
                 if nxt == 0:
                     break
-                f = find(nxt)
+                f = nxt if rep[nxt] == nxt else find(nxt)
                 i += 1
             if i > r:
                 if f != alpha:
@@ -240,45 +269,58 @@ def todd_coxeter(
                     process_coincidences()
                 return
             while r >= i:
-                prv = table[b][col(-w[r])]
+                prv = table[b][w[r] ^ 1]
                 if prv == 0:
                     break
-                b = find(prv)
+                b = prv if rep[prv] == prv else find(prv)
                 r -= 1
             if r < i:
                 merge(f, b)
                 process_coincidences()
                 return
+            x = w[i]
             if r == i:
-                table[f][col(w[i])] = b
-                table[b][inv_col(col(w[i]))] = f
+                table[f][x] = b
+                table[b][x ^ 1] = f
                 return
             delta = new_coset()
-            table[f][col(w[i])] = delta
-            table[delta][inv_col(col(w[i]))] = f
+            table[f][x] = delta
+            table[delta][x ^ 1] = f
             f = delta
             i += 1
 
     for w in subgroup_words:
-        scan_and_fill(1, free_reduce(w))
+        reduced = free_reduce(w)
+        if reduced:
+            scan_and_fill(1, columns_of(reduced))
         if table[find(1)] is None:  # pragma: no cover - base coset always survives
             raise AssertionError("base coset died")
 
     alpha = 1
     while alpha < len(table):
-        if table[alpha] is None or find(alpha) != alpha:
+        if rep[alpha] != alpha:
             alpha += 1
             continue
-        for r in p.relators:
-            scan_and_fill(alpha, r)
-            if table[alpha] is None or find(alpha) != alpha:
+        for w in relator_columns:
+            # fast path: a scan that closes up without a gap changes nothing
+            f = alpha
+            for x in w:
+                f = table[f][x]
+                if f == 0 or rep[f] != f:
+                    break
+            else:
+                if f == alpha:
+                    continue
+            scan_and_fill(alpha, w)
+            if rep[alpha] != alpha:
                 break
-        if table[alpha] is not None and find(alpha) == alpha:
+        else:
+            row = table[alpha]
             for x in range(ncols):
-                if table[alpha][x] == 0:
+                if row[x] == 0:
                     delta = new_coset()
-                    table[alpha][x] = delta
-                    table[delta][inv_col(x)] = alpha
+                    row[x] = delta
+                    table[delta][x ^ 1] = alpha
         alpha += 1
 
     live = [c for c in range(1, len(table)) if table[c] is not None and find(c) == c]
@@ -288,7 +330,7 @@ def todd_coxeter(
     for g in range(1, rank + 1):
         perm = []
         for c in live:
-            img = table[c][col(g)]
+            img = table[c][2 * g - 2]
             if img == 0:  # pragma: no cover - completed tables have no gaps
                 raise AssertionError("incomplete table after enumeration")
             perm.append(number[find(img)])

@@ -54,19 +54,19 @@ def _fox_d2(p: Presentation, t: CosetTable) -> IntMatrix:
     if t.presentation != p:
         raise InputError("coset table was built over a different presentation")
     m = t.index
+    columns = t.columns
     d2 = IntMatrix(p.rank * m, len(p.relators) * m)
     for ri, rel in enumerate(p.relators):
         for c in range(1, m + 1):
             col = ri * m + (c - 1)
             u = c
             for letter in rel:
-                s = abs(letter)
                 if letter > 0:
-                    d2.data[(s - 1) * m + (u - 1)][col] += 1
-                    u = t.apply(u, letter)
+                    d2.data[(letter - 1) * m + (u - 1)][col] += 1
+                    u = columns[letter][u]
                 else:
-                    u = t.apply(u, letter)
-                    d2.data[(s - 1) * m + (u - 1)][col] -= 1
+                    u = columns[letter][u]
+                    d2.data[(-letter - 1) * m + (u - 1)][col] -= 1
             if u != c:
                 raise InputError(f"relator {rel} does not close up at coset {c}")
     return d2
@@ -78,9 +78,10 @@ def fox_boundary_matrices(p: Presentation, t: CosetTable) -> tuple[IntMatrix, In
     m = t.index
     d1 = IntMatrix(m, p.rank * m)
     for s in range(1, p.rank + 1):
+        column = t.columns[s]
         for c in range(1, m + 1):
             col = (s - 1) * m + (c - 1)
-            d1.data[t.apply(c, s) - 1][col] += 1
+            d1.data[column[c] - 1][col] += 1
             d1.data[c - 1][col] -= 1
     return d1, d2
 
@@ -110,7 +111,9 @@ def homology_summary(
     primes = check_primes(primes)
     m = t.index
     d2 = _fox_d2(p, t)
-    tree = {(s - 1) * m + (c - 1) for s, c in t.spanning_tree}
+    # the step (c, x, d) crosses the edge (x, c) from c to c.x for x > 0,
+    # and the edge (-x, d) from d to d.(-x) = c for x < 0
+    tree = {(abs(x) - 1) * m + (c if x > 0 else d) - 1 for c, x, d in t.spanning_tree}
     rows = [row for e, row in enumerate(d2.data) if e not in tree]
     snf = smith_normal_form(IntMatrix(len(rows), d2.cols, rows))
     betti_q = len(rows) - snf.rank

@@ -33,6 +33,7 @@ from .contexts import (
     exponent_vector,
     infinite_order_certificate,
 )
+from . import coset
 from .coset import CosetTable, todd_coxeter
 from .errors import (
     BudgetExceededError,
@@ -441,13 +442,16 @@ class CosetGraph:
     solver: Optional[CosetSolver] = None
     witnesses: Optional[tuple[Word, ...]] = None
     _index: dict = field(default_factory=dict, repr=False)
+    _edge_set: set = field(default_factory=set, repr=False)
 
     def __post_init__(self):
         self._index.update({v: i for i, v in enumerate(self.vertices)})
-        for u, v, label in self.edges:
-            if not (0 <= u < len(self.vertices) and 0 <= v < len(self.vertices)):
+        self._edge_set.update(self.edges)
+        if self.edges:
+            us, vs, labels = zip(*self.edges)
+            if min(min(us), min(vs)) < 0 or max(max(us), max(vs)) >= len(self.vertices):
                 raise InputError("edge endpoint is not a listed vertex")
-            if not (0 <= label < len(self.generating_set)):
+            if min(labels) < 0 or max(labels) >= len(self.generating_set):
                 raise InputError("edge label does not index the generating set")
 
     @property
@@ -471,37 +475,26 @@ class CosetGraph:
         return tuple(sorted({label for _, _, label in self.edges}))
 
     def has_edge(self, u: int, v: int, label: int) -> bool:
-        return (min(u, v), max(u, v), label) in set(self.edges)
+        return (min(u, v), max(u, v), label) in self._edge_set
 
     def is_connected(self) -> bool:
         if not self.vertices:
             return False
-        adj: dict[int, set[int]] = {i: set() for i in range(len(self.vertices))}
+        adj: list[list[int]] = [[] for _ in self.vertices]
         for u, v, _ in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        seen = {0}
-        queue = [0]
-        while queue:
-            nxt = queue.pop()
-            for m in adj[nxt]:
-                if m not in seen:
-                    seen.add(m)
-                    queue.append(m)
-        return len(seen) == len(self.vertices)
-
-    def left_action_closed(self) -> bool:
-        """For complete graphs: is the edge set closed under left translation?"""
-        if self.kind != "complete":
-            raise InputError("the closure check needs a complete graph")
-        eset = {(u, v, l) for u, v, l in self.edges}
-        for g in range(1, self.presentation.rank + 1):
-            for u, v, l in self.edges:
-                gu = self.table.trace(u + 1, (-g,)) - 1
-                gv = self.table.trace(v + 1, (-g,)) - 1
-                if (min(gu, gv), max(gu, gv), l) not in eset:
-                    return False
-        return True
+            adj[u].append(v)
+            adj[v].append(u)
+        seen = [False] * len(self.vertices)
+        seen[0] = True
+        stack = [0]
+        reached = 1
+        while stack:
+            for m in adj[stack.pop()]:
+                if not seen[m]:
+                    seen[m] = True
+                    reached += 1
+                    stack.append(m)
+        return reached == len(self.vertices)
 
     def _fixes_vertex(self, element: Word, vertex: int) -> bool:
         """Does left translation by the element fix the given coset?  Exact."""
@@ -539,23 +532,39 @@ def _edge_orbit(table: CosetTable, s: Word) -> set[tuple[int, int]]:
     """The orbit of the base edge {L, sL} under left translation by G.
 
     Left translation by h sends gL to hgL; transported to the table's right
-    cosets through gL <-> Lg^-1 it becomes right tracing by h^-1, so the
-    orbit is closed up under the diagonal right action on coset pairs.  The
+    cosets through gL <-> Lg^-1 it becomes right tracing by h^-1, so the orbit
+    is {(1.h, t.h) : h in G} with t = 1.s^-1.  The h with 1.h = c form the
+    coset Stab(1) r_c, r_c the spanning-tree word of c, so the orbit is
+    {(c, d.r_c)} with d running over the orbit O of t under Stab(1).  The
+    subgroup generators generate Stab(1) for a subgroup enumeration, so O is
+    their orbit of t, and each d costs index - 1 lookups along the tree.  The
     result is the full family {{gL, gsL} : g in G} as 0-based vertex pairs.
     """
-    base = (1, table.trace(1, inverse_word(s)))
-    seen = {base}
-    queue = [base]
-    letters = [g for g in range(1, table.presentation.rank + 1)]
-    letters += [-g for g in range(1, table.presentation.rank + 1)]
-    while queue:
-        a, b = queue.pop()
-        for letter in letters:
-            nxt = (table.apply(a, letter), table.apply(b, letter))
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return {(min(a, b) - 1, max(a, b) - 1) for a, b in seen}
+    if table.construction != "subgroup-enumeration":
+        raise InputError(
+            "edge orbits need a table whose subgroup generators generate the stabilizer "
+            f"(a subgroup enumeration), not a {table.construction!r} table"
+        )
+    columns = table.columns
+    t = table.trace(1, inverse_word(s))
+    orbit = [t]
+    seen = {t}
+    for d in orbit:
+        for w in table.subgroup_generators:
+            e = table.trace(d, w)
+            if e not in seen:
+                seen.add(e)
+                orbit.append(e)
+    vertices = range(table.index)
+    out = set()
+    for d in orbit:
+        image = [0] * (table.index + 1)
+        image[1] = d
+        for c, x, child in table.spanning_tree:
+            image[child] = columns[x][image[c]]
+        image = [c - 1 for c in image[1:]]
+        out.update(zip(map(min, vertices, image), map(max, vertices, image)))
+    return out
 
 
 def _complete_graph_from_table(
@@ -566,10 +575,9 @@ def _complete_graph_from_table(
     witnesses: Optional[tuple[Word, ...]],
 ) -> CosetGraph:
     vertices = tuple(inverse_word(rep) for rep in table.transversal)
-    edges = set()
+    edges = []
     for label, s in enumerate(generating_set):
-        for u, v in _edge_orbit(table, s):
-            edges.add((u, v, label))
+        edges += [(u, v, label) for u, v in _edge_orbit(table, s)]
     return CosetGraph(
         presentation=p,
         subgroup_words=subgroup_words,
@@ -590,6 +598,7 @@ def _ball_graph(
     radius: int,
     witnesses: Optional[tuple[Word, ...]],
 ) -> CosetGraph:
+    limit = coset.DEFAULT_BUDGET
     base = solver.canonical(())
     dist = {base: 0}
     order = [base]
@@ -605,6 +614,10 @@ def _ball_graph(
                         dist[neighbor] = depth + 1
                         order.append(neighbor)
                         nxt.append(neighbor)
+            if len(order) > limit:
+                raise BudgetExceededError(
+                    f"the radius-{radius} ball has more than {limit} vertices"
+                )
         queue = nxt
         depth += 1
     index = {rep: i for i, rep in enumerate(order)}
@@ -644,7 +657,8 @@ def build_coset_graph(
 
     Truncation needs a coset canonicalizer; one is inferred for free-abelian
     and parabolic graph-group cases, and the construction refuses (rather than
-    guess) for presentations without one.
+    guess) for presentations without one.  A ball that grows past
+    ``coset.DEFAULT_BUDGET`` vertices raises BudgetExceededError.
     """
     if budget < 1:
         raise InputError("budget must be at least 1")

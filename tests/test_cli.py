@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from chainlab.cli import main, parse_element
+from chainlab.cli import _jsonable, main, parse_element, report_json
 from chainlab.errors import InputError
 from chainlab.qnormal import chain_to_dict, witness_set_to_dict
 from chainlab.raag import artin_central_chain
@@ -158,6 +158,20 @@ class TestQnormalCommands:
         assert len(graph["vertices"]) == 7
         assert graph["is_connected"] is True
         assert graph["stabilizer_witnesses_verified"] == [True] * len(graph["edges"])
+
+    def test_ball_past_the_coset_budget_exits_3(self, tmp_path, monkeypatch, capsys):
+        import chainlab.coset as coset
+
+        job = read_json(DATA / "plane_graph_job.json")
+        job["radius"] = 10**6  # Z^2 / <x>: a line, so 2 * radius + 1 vertices
+        path = write_json(tmp_path / "job.json", job)
+        monkeypatch.setattr(coset, "DEFAULT_BUDGET", 50)
+        assert main(["qnormal", "graph", str(path), "--out", str(tmp_path / "a")]) == 3
+        assert "more than 50 vertices" in capsys.readouterr().err
+        job["radius"] = 24
+        path = write_json(tmp_path / "job.json", job)
+        assert main(["qnormal", "graph", str(path), "--out", str(tmp_path / "b")]) == 0
+        assert len(read_json(tmp_path / "b" / "graph.json")["vertices"]) == 49
 
     def test_blowup_job_matches_direct_graph(self, tmp_path):
         out = tmp_path / "run"
@@ -329,6 +343,60 @@ class TestRebuildCommand:
         rc = main(["rebuild", "check", str(path), "--T", "8", "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "malformed" in capsys.readouterr().err
+
+
+json_scalars = (
+    st.integers(-(10**30), 10**30)
+    | st.booleans()
+    | st.none()
+    | st.text()
+    | st.floats()
+    | st.fractions()
+)
+# json sorts keys before converting them, so one dict holds comparable keys
+json_keys = st.text(max_size=5) | st.integers(-3, 3) | st.floats() | st.booleans() | st.none()
+# lists of int-valued dicts, mostly sharing their keys: the writer's row path
+edge_keys = st.sampled_from(["u", "v", "label", "ü", "%d"])
+edge_lists = st.sets(edge_keys, max_size=4).flatmap(
+    lambda keys: st.lists(
+        st.fixed_dictionaries({k: st.integers(-5, 5) for k in keys})
+        | st.dictionaries(edge_keys, st.integers(-5, 5) | st.booleans(), max_size=4),
+        max_size=4,
+    )
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4)
+    | st.dictionaries(json_keys, inner, max_size=1)
+    | st.dictionaries(st.integers(-3, 3) | st.floats(allow_nan=False) | st.booleans(), inner, max_size=4)
+    | edge_lists,
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_values)
+def test_report_writer_matches_json_dumps(value):
+    want = json.dumps(value, indent=2, sort_keys=True, default=_jsonable)
+    assert report_json(value) == want
+
+
+def test_report_writer_keeps_the_bare_infinity_of_nested_floats():
+    # json never hands a float to default=, so a nested -inf is written as
+    # the bare -Infinity (not valid JSON); digests pin these bytes
+    body = {"log_norm": float("-inf"), "edges": [{"u": 0, "v": 1}, {"u": 1, "v": 1}], "e": []}
+    assert report_json(body) == json.dumps(body, indent=2, sort_keys=True, default=_jsonable)
+    assert '"log_norm": -Infinity' in report_json(body)
+
+
+@pytest.mark.parametrize("value", [{"a": {1, 2}}, {("k",): 1}, [{"a": 1}, {1: 2}, {"a": 1, 1: 2}]])
+def test_report_writer_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(Exception) as want:
+        json.dumps(value, indent=2, sort_keys=True, default=_jsonable)
+    with pytest.raises(want.type):
+        report_json(value)
 
 
 class TestManifests:

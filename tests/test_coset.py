@@ -85,6 +85,19 @@ def test_transversal_represents_every_coset():
         assert t.trace(1, rep) == c
 
 
+@pytest.mark.parametrize("bad", [(3,), (-3,), (0,), (1.5,)])
+def test_lookups_refuse_letters_outside_the_column_store(bad):
+    # columns are indexed by the signed letter, so an unchecked 3 or -3
+    # would read the inverse columns of a rank-2 table
+    t = todd_coxeter(F2, [[1], [2, 1, -2], [2, 2]])
+    with pytest.raises(InputError):
+        t.trace(1, bad)
+    with pytest.raises(InputError):
+        t.word_permutation(bad)
+    with pytest.raises(InputError):
+        CosetTable(F2, (bad,), t.index, t.action).verify()
+
+
 def test_table_validation():
     with pytest.raises(InputError):
         CosetTable(Z, (), 2, ((1, 1),))  # not a permutation

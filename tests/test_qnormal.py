@@ -11,8 +11,9 @@ from chainlab.contexts import (
     free_abelian_context,
     free_context,
 )
-from chainlab.coset import todd_coxeter
+from chainlab.coset import build_abelian_chain, cyclic_cover_chain, todd_coxeter
 from chainlab.errors import (
+    BudgetExceededError,
     FactorizationNotFoundError,
     InputError,
     TruncationTooSmallError,
@@ -30,6 +31,7 @@ from chainlab.fixtures import (
     plane_rewriter,
 )
 from chainlab.qnormal import (
+    _edge_orbit,
     AbelianCosetSolver,
     ParabolicCosetSolver,
     QNormalChainCertificate,
@@ -52,7 +54,14 @@ from chainlab.qnormal import (
     witness_set_from_dict,
     witness_set_to_dict,
 )
-from chainlab.words import RaagGraph, complete_graph, presentation, raag_graph
+from chainlab.words import (
+    RaagGraph,
+    complete_graph,
+    free_presentation,
+    inverse_word,
+    presentation,
+    raag_graph,
+)
 
 S3 = presentation(("s", "t"), [(1, 1), (2, 2), (1, 2, 1, 2, 1, 2)])
 
@@ -249,7 +258,7 @@ class TestCompleteGraphs:
         assert s_edges == {(0, 1), (0, 2), (1, 2)}
         t_edges = {(u, v) for u, v, label in g.edges if label == 1}
         assert t_edges == {(0, 0), (1, 1), (2, 2)}  # t lies in the subgroup
-        assert g.left_action_closed()
+        assert left_action_closed(g)
 
     def test_vertex_of_traces_left_cosets(self):
         g = build_coset_graph(S3, [(2,)], [(1,), (2,)])
@@ -338,6 +347,20 @@ class TestBallGraphs:
         assert g.vertices[0] == ()
         assert g.vertex_of((1,)) == 0
         assert g.vertex_of((3,)) == g.vertex_of((1, 3))
+
+    def test_ball_stops_past_the_coset_budget(self, monkeypatch):
+        import chainlab.coset as coset
+
+        p = plane_presentation()
+        big = build_coset_graph(p, [(1,)], [(1,), (2,)], budget=10, radius=8)
+        monkeypatch.setattr(coset, "DEFAULT_BUDGET", len(big.vertices))
+        assert len(build_coset_graph(p, [(1,)], [(1,), (2,)], budget=10, radius=8).vertices) == 17
+        monkeypatch.setattr(coset, "DEFAULT_BUDGET", len(big.vertices) - 1)
+        with pytest.raises(BudgetExceededError):
+            build_coset_graph(p, [(1,)], [(1,), (2,)], budget=10, radius=8)
+        monkeypatch.setattr(coset, "DEFAULT_BUDGET", 50)
+        with pytest.raises(BudgetExceededError):  # would otherwise never finish
+            build_coset_graph(p, [(1, 1)], [(1,), (2,)], budget=10, radius=10**6)
 
 
 # ----------------------------------------------- solver/rewriter agreement
@@ -573,3 +596,126 @@ class TestGraphJson:
         assert d["completeness"] == "complete"
         assert d["radius"] is None
         assert d["frontier"] == []
+
+
+# ------------------------- oracles: pair-BFS edge orbits, per-coset tracing
+
+
+class OracleTable:
+    """Reference lookups: the generator permutations and their inverses, one per letter."""
+
+    def __init__(self, table):
+        self.table = table
+        self.inverse = []
+        for perm in table.action:
+            inv = [0] * table.index
+            for c, img in enumerate(perm, start=1):
+                inv[img - 1] = c
+            self.inverse.append(tuple(inv))
+
+    def apply(self, c, letter):
+        if letter > 0:
+            return self.table.action[letter - 1][c - 1]
+        return self.inverse[-letter - 1][c - 1]
+
+    def trace(self, c, w):
+        for letter in w:
+            c = self.apply(c, letter)
+        return c
+
+    def word_permutation(self, w):
+        return tuple(self.trace(c, w) for c in range(1, self.table.index + 1))
+
+    def edge_orbit(self, s):
+        """Breadth-first closure of the base pair under the diagonal right action."""
+        base = (1, self.trace(1, inverse_word(s)))
+        seen = {base}
+        queue = [base]
+        letters = [g for g in range(1, self.table.presentation.rank + 1)]
+        letters += [-g for g in range(1, self.table.presentation.rank + 1)]
+        while queue:
+            a, b = queue.pop()
+            for letter in letters:
+                nxt = (self.apply(a, letter), self.apply(b, letter))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        return {(min(a, b) - 1, max(a, b) - 1) for a, b in seen}
+
+
+def left_action_closed(graph):
+    """For complete graphs: is the edge set closed under left translation?"""
+    eset = set(graph.edges)
+    for g in range(1, graph.presentation.rank + 1):
+        for u, v, label in graph.edges:
+            gu = graph.table.trace(u + 1, (-g,)) - 1
+            gv = graph.table.trace(v + 1, (-g,)) - 1
+            if (min(gu, gv), max(gu, gv), label) not in eset:
+                return False
+    return True
+
+
+def coxeter_symmetric(n):
+    """S_n on the simple transpositions s1..s(n-1)."""
+    rels = []
+    for i in range(1, n):
+        rels.append((i, i))
+        for j in range(i + 1, n):
+            rels.append((i, j) * (3 if j == i + 1 else 2))
+    return presentation(tuple(f"s{i}" for i in range(1, n)), rels)
+
+
+Z3 = presentation(("a", "b", "c"), [(1, 2, -1, -2), (1, 3, -1, -3), (2, 3, -2, -3)])
+
+
+@st.composite
+def table_cases(draw):
+    """(table, words): an S_n parabolic, a cyclic cover or an abelian cover.
+
+    Abelian covers come twice: as the kernel table of build_abelian_chain,
+    whose listed words do not generate the stabilizer (no edge orbits), and
+    as a subgroup enumeration of the same kernel.
+    """
+    kind = draw(st.sampled_from(["parabolic", "cyclic", "abelian"]))
+    if kind == "parabolic":
+        n = draw(st.integers(2, 6))
+        J = draw(st.sets(st.integers(1, n - 1)))
+        tables = [todd_coxeter(coxeter_symmetric(n), [(j,) for j in sorted(J)])]
+    elif kind == "cyclic":
+        p = draw(st.sampled_from([free_presentation(2), plane_presentation(), S3]))
+        tables = [cyclic_cover_chain(p, [draw(st.integers(1, 7))], gen=draw(st.integers(1, 2))).levels[0]]
+    else:
+        p = draw(st.sampled_from([plane_presentation(), Z3]))
+        n = draw(st.integers(1, 5 if p.rank == 2 else 3))
+        tables = [
+            build_abelian_chain(p, [n]).levels[0],
+            todd_coxeter(p, [(g,) * n for g in range(1, p.rank + 1)]),
+        ]
+    rank = tables[0].presentation.rank
+    letters = st.sampled_from([x for g in range(1, rank + 1) for x in (g, -g)])
+    words = draw(st.lists(st.lists(letters, max_size=3).map(tuple), min_size=1, max_size=4))
+    return tables, words
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_cases())
+def test_column_store_and_tree_walk_match_the_oracles(case):
+    tables, words = case
+    for table in tables:
+        oracle = OracleTable(table)
+        for w in words:
+            assert table.word_permutation(w) == oracle.word_permutation(w)
+            for c in range(1, table.index + 1):
+                assert table.trace(c, w) == oracle.trace(c, w)
+            if table.construction == "subgroup-enumeration":
+                assert _edge_orbit(table, w) == oracle.edge_orbit(w)
+            else:
+                with pytest.raises(InputError):
+                    _edge_orbit(table, w)
+
+
+def test_complete_graphs_are_closed_under_left_translation():
+    for J in [(), (1,), (2, 4), (1, 2, 3)]:
+        p = coxeter_symmetric(5)
+        g = build_coset_graph(p, [(j,) for j in J], [(1,), (2, 3), (4, 3, -2)])
+        assert g.kind == "complete" and left_action_closed(g)
