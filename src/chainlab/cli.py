@@ -195,17 +195,17 @@ def _jsonable(value):
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def report_json(value, default=_jsonable) -> str:
-    """The bytes of ``json.dumps(value, indent=2, sort_keys=True, default=default)``.
+def report_json(value) -> str:
+    """The bytes of ``json.dumps(value, indent=2, sort_keys=True, default=_jsonable)``.
 
     json's indented encoder is pure Python and yields one scalar at a time.
     This writer joins a list of ints, and a list of int-valued dicts that
     share their keys (graph edges), in one ``str.join`` each; everything else
     follows the encoder's rules, including that floats never reach
-    ``default`` (an infinite float is written as the bare ``Infinity``).
+    ``_jsonable`` (an infinite float is written as the bare ``Infinity``).
     """
     out: list[str] = []
-    _encode(value, "\n", out, default)
+    _encode(value, "\n", out)
     return "".join(out)
 
 
@@ -245,7 +245,7 @@ def _int_rows(items, keys: list) -> Optional[list]:
     return rows
 
 
-def _encode(o, newline: str, out: list, default) -> None:
+def _encode(o, newline: str, out: list) -> None:
     text = _scalar(o)
     if text is not None:
         out.append(text)
@@ -274,7 +274,7 @@ def _encode(o, newline: str, out: list, default) -> None:
         for item in o:
             out.append(separator)
             separator = "," + inner
-            _encode(item, inner, out, default)
+            _encode(item, inner, out)
         out.append(newline + "]")
         return
     if isinstance(o, dict):
@@ -290,13 +290,13 @@ def _encode(o, newline: str, out: list, default) -> None:
                 key = _scalar(key)
             out.append(separator + _encode_str(key) + ": ")
             separator = "," + inner
-            _encode(item, inner, out, default)
+            _encode(item, inner, out)
         out.append(newline + "}")
         return
-    replaced = default(o)
+    replaced = _jsonable(o)
     if replaced is o:
         raise ValueError("Circular reference detected")
-    _encode(replaced, newline, out, default)
+    _encode(replaced, newline, out)
 
 
 # ------------------------------------------------------------- run manifests
