@@ -5,7 +5,8 @@ verifies q-normality certificates and their coset-graph constructions,
 analyzes graph groups for inner amenability and chain-commuting structure,
 measures inner Følner defects, tabulates fixed-point ratios, and audits
 quantitative rebuildings of chain complexes.  Everything is exact integer or
-rational arithmetic except operator norms, which are certified floats.
+rational arithmetic except operator norms, which are floating-point
+power-iteration estimates.
 """
 
 from .contexts import (

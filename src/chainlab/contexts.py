@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import InputError, UndecidableContextError
-from .intmat import IntMatrix, smith_normal_form
+from .intmat import IntMatrix, Lattice, smith_normal_form
 from .words import (
     Presentation,
     RaagGraph,
@@ -217,10 +217,23 @@ def exponent_counts(w: Word, rank: int) -> tuple[int, ...]:
     return tuple(v)
 
 
+def power_word(exponents: Sequence[int]) -> Word:
+    """The word g1^e1 g2^e2 ... of an exponent vector (inverse of ``exponent_counts``)."""
+    out: list[int] = []
+    for g, e in enumerate(exponents, start=1):
+        out.extend([g if e > 0 else -g] * abs(e))
+    return tuple(out)
+
+
 def relator_exponent_matrix(p: Presentation) -> IntMatrix:
     """Columns are the exponent vectors of the relators (rank x #relators)."""
     cols = [exponent_counts(r, p.rank) for r in p.relators]
     return IntMatrix(p.rank, len(cols), [[c[i] for c in cols] for i in range(p.rank)])
+
+
+@lru_cache(maxsize=None)
+def _relator_lattice(p: Presentation) -> Lattice:
+    return Lattice(p.rank, [exponent_counts(r, p.rank) for r in p.relators])
 
 
 @lru_cache(maxsize=None)
@@ -239,26 +252,8 @@ class AbelianizedImage:
 
 def abelianized_image(w: Sequence[int], p: Presentation) -> AbelianizedImage:
     vec = exponent_counts(p.check_word(w), p.rank)
-    res = _relator_snf(p)
-    uv = [sum(res.U.data[i][k] * vec[k] for k in range(p.rank)) for i in range(p.rank)]
-    factors = res.invariant_factors
-    in_lattice = True
-    in_saturation = True
-    for i in range(p.rank):
-        if i < len(factors):
-            if uv[i] % factors[i] != 0:
-                in_lattice = False
-        elif uv[i] != 0:
-            in_lattice = False
-            in_saturation = False
-    return AbelianizedImage(vec, in_lattice, not in_saturation)
-
-
-def abelianization_structure(p: Presentation) -> tuple[int, tuple[int, ...]]:
-    """(torsion-free rank, nontrivial torsion invariant factors) of the abelianization."""
-    res = _relator_snf(p)
-    torsion = tuple(f for f in res.invariant_factors if f > 1)
-    return p.rank - res.rank, torsion
+    lattice = _relator_lattice(p)
+    return AbelianizedImage(vec, lattice.contains(vec), not lattice.in_saturation(vec))
 
 
 def torsion_basis_words(p: Presentation) -> tuple[Word, ...]:
@@ -269,15 +264,11 @@ def torsion_basis_words(p: Presentation) -> tuple[Word, ...]:
     generator word (a product of generator powers).
     """
     res = _relator_snf(p)
-    out = []
-    for i, f in enumerate(res.invariant_factors):
-        if f > 1:
-            col = [res.U_inv.data[r][i] for r in range(p.rank)]
-            w: list[int] = []
-            for g, e in enumerate(col, start=1):
-                w.extend([g if e > 0 else -g] * abs(e))
-            out.append(tuple(w))
-    return tuple(out)
+    return tuple(
+        power_word([res.U_inv.data[r][i] for r in range(p.rank)])
+        for i, f in enumerate(res.invariant_factors)
+        if f > 1
+    )
 
 
 # ------------------------------------------------------- order certificates

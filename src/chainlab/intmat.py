@@ -1,13 +1,19 @@
-"""Exact integer matrices: Smith normal form, ranks, and lattice arithmetic.
+"""Exact integer matrices: Smith normal form, ``Lattice`` and rank oracles.
 
-Everything here is arbitrary-precision (plain Python ints).  Floating point
-is never used; rank over the rationals is computed fraction-free (Bareiss)
-and rank over a prime field by modular elimination.
+Everything here is arbitrary-precision (plain Python ints); floating point
+is never used.  ``smith_normal_form`` gives invariant factors and, on
+request, checked unimodular transforms.  ``Lattice`` answers the
+integer-lattice questions (reduce / contains / in_saturation / solve) from
+echelon rows with a coordinate transform, with no Smith normal form.
+``rank_over_q`` (fraction-free Bareiss) and ``rank_mod_p`` are kept as test
+oracles for the homology path.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable, Optional, Sequence
 
 
@@ -131,28 +137,6 @@ class SNFResult:
     V: Optional[IntMatrix] = None
     U_inv: Optional[IntMatrix] = None
     transforms_checked: bool = False
-
-    def solve(self, v: Sequence[int]) -> Optional[list[int]]:
-        """One integer solution u of m @ u = v for the diagonalized m, or None.
-
-        Needs the transforms; one result answers any number of right-hand sides.
-        """
-        if self.U is None or self.V is None:
-            raise ValueError("solving needs the transforms of smith_normal_form(m, transforms=True)")
-        rows, cols = self.U.rows, self.V.rows
-        if rows != len(v):
-            raise ValueError("vector length must equal the number of matrix rows")
-        uv = [sum(self.U.data[i][k] * v[k] for k in range(rows)) for i in range(rows)]
-        factors = self.invariant_factors
-        y = [0] * cols
-        for i in range(rows):
-            if i < len(factors):
-                if uv[i] % factors[i] != 0:
-                    return None
-                y[i] = uv[i] // factors[i]
-            elif uv[i] != 0:
-                return None
-        return [sum(self.V.data[i][k] * y[k] for k in range(cols)) for i in range(cols)]
 
 
 def _row_op_add(m: list[list[int]], i: int, j: int, q: int) -> None:
@@ -413,94 +397,94 @@ def rank_mod_p(m: IntMatrix, p: int) -> int:
     return rank
 
 
-class LatticeBasis:
-    """An integer row lattice kept in echelon form.
+class Lattice:
+    """The integer lattice spanned by some vectors, kept as echelon rows.
 
-    Supports membership tests and canonical residues: two vectors reduce to
-    the same residue exactly when they differ by a lattice element.
+    The vectors are inserted one by one with gcd row operations (Cohen, GTM
+    138, section 2.4): ``rows`` are echelon rows with positive pivot entries
+    at the columns ``pivots``, and ``coefficients[i]`` writes ``rows[i]`` as
+    an integer combination of the input vectors.  Every query is one exact
+    floor-division sweep down the rows.
     """
 
-    def __init__(self, dim: int, vectors: Iterable[Sequence[int]] = ()):  #
-        self.dim = dim
-        self.rows: list[list[int]] = []  # sorted by pivot column
-        self.pivots: list[int] = []
-        for v in vectors:
-            self.add(v)
-
-    def add(self, vec: Sequence[int]) -> None:
-        v = list(map(int, vec))
-        if len(v) != self.dim:
+    def __init__(self, dim: int, vectors: Iterable[Sequence[int]]):
+        vectors = [list(map(int, v)) for v in vectors]
+        if any(len(v) != dim for v in vectors):
             raise ValueError("vector has wrong dimension")
+        self.dim = dim
+        self.generators = len(vectors)
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []  # increasing
+        self.coefficients: list[list[int]] = []
+        for k, v in enumerate(vectors):
+            t = [0] * len(vectors)
+            t[k] = 1
+            self._insert(v, t)
+        self.rank = len(self.rows)
+        # Back-substitution in the echelon rows only divides by pivot entries,
+        # so a multiple of this product of a vector in the rational span is in the lattice.
+        self.pivot_product = prod(row[j] for row, j in zip(self.rows, self.pivots))
+
+    def _insert(self, v: list[int], t: list[int]) -> None:
+        """Add v, which is t on the input vectors, keeping rows and coefficients in step."""
         while True:
             j = next((k for k, x in enumerate(v) if x), None)
             if j is None:
                 return
-            idx = None
-            for r, p in enumerate(self.pivots):
-                if p == j:
-                    idx = r
-                    break
-                if p > j:
-                    break
-            if idx is None:
+            idx = bisect_left(self.pivots, j)
+            if idx == len(self.pivots) or self.pivots[idx] != j:
                 if v[j] < 0:
-                    v = [-x for x in v]
-                pos = next((r for r, p in enumerate(self.pivots) if p > j), len(self.pivots))
-                self.rows.insert(pos, v)
-                self.pivots.insert(pos, j)
+                    v, t = [-x for x in v], [-x for x in t]
+                self.rows.insert(idx, v)
+                self.pivots.insert(idx, j)
+                self.coefficients.insert(idx, t)
                 return
-            row = self.rows[idx]
-            p = row[j]
-            if v[j] % p == 0:
-                q = v[j] // p
+            row, rt = self.rows[idx], self.coefficients[idx]
+            p, a = row[j], v[j]
+            if a % p == 0:
+                q = a // p
                 v = [x - q * y for x, y in zip(v, row)]
+                t = [x - q * y for x, y in zip(t, rt)]
             else:
-                g, x, y = xgcd(p, v[j])
-                new_row = [x * r0 + y * v0 for r0, v0 in zip(row, v)]
-                v = [(p // g) * v0 - (v[j] // g) * r0 for r0, v0 in zip(row, v)]
-                if new_row[j] < 0:
-                    new_row = [-t for t in new_row]
-                self.rows[idx] = new_row
+                # (row, v) <- (x row + y v, (p/g) v - (a/g) row): unimodular, new pivot g > 0
+                g, x, y = xgcd(p, a)
+                pg, ag = p // g, a // g
+                self.rows[idx] = [x * r + y * w for r, w in zip(row, v)]
+                self.coefficients[idx] = [x * r + y * w for r, w in zip(rt, t)]
+                v = [pg * w - ag * r for r, w in zip(row, v)]
+                t = [pg * w - ag * r for r, w in zip(rt, t)]
 
-    def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """Canonical residue of vec modulo the lattice."""
+    def _divide(self, vec: Sequence[int]) -> tuple[list[int], list[int]]:
+        """(quotients, residue) with vec = sum of quotients[i] * rows[i] + residue."""
         v = list(map(int, vec))
         if len(v) != self.dim:
             raise ValueError("vector has wrong dimension")
-        for row, p in zip(self.rows, self.pivots):
-            q = v[p] // row[p]
+        quotients = []
+        for row, j in zip(self.rows, self.pivots):
+            q = v[j] // row[j]
             if q:
                 v = [x - q * y for x, y in zip(v, row)]
-        return tuple(v)
+            quotients.append(q)
+        return quotients, v
 
-    def __contains__(self, vec: Sequence[int]) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
+    def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
+        """Canonical residue of vec: two vectors share it exactly when they differ by a lattice element."""
+        return tuple(self._divide(vec)[1])
 
-    def rank(self) -> int:
-        return len(self.rows)
+    def contains(self, vec: Sequence[int]) -> bool:
+        return not any(self._divide(vec)[1])
 
+    def in_saturation(self, vec: Sequence[int]) -> bool:
+        """Does some positive multiple of vec lie in the lattice (vec is in its rational span)?"""
+        return self.contains([self.pivot_product * x for x in vec])
 
-def lattice_membership(span: IntMatrix, v: Sequence[int]) -> tuple[bool, bool]:
-    """Decide membership of v in the column lattice of span, and in its saturation.
-
-    Returns (in_lattice, in_saturation); the saturation contains v exactly when
-    some positive multiple of v lies in the lattice, i.e. v is in the rational
-    column span.
-    """
-    if span.rows != len(v):
-        raise ValueError("vector length must equal the number of matrix rows")
-    res = smith_normal_form(span, transforms=True)
-    uv = [sum(res.U.data[i][k] * v[k] for k in range(span.rows)) for i in range(span.rows)]
-    factors = res.invariant_factors
-    in_lattice = True
-    in_saturation = True
-    for i in range(span.rows):
-        if i < len(factors):
-            if uv[i] % factors[i] != 0:
-                in_lattice = False
-        else:
-            if uv[i] != 0:
-                in_lattice = False
-                in_saturation = False
-    return in_lattice, in_saturation
-
+    def solve(self, vec: Sequence[int]) -> Optional[list[int]]:
+        """Integer coefficients u on the input vectors with sum u_k * vectors[k] = vec, or None."""
+        quotients, residue = self._divide(vec)
+        if any(residue):
+            return None
+        u = [0] * self.generators
+        for q, t in zip(quotients, self.coefficients):
+            if q:
+                u = [x + q * y for x, y in zip(u, t)]
+        return u

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional, Sequence
 
 from .contexts import (
@@ -32,6 +31,7 @@ from .contexts import (
     exponent_counts,
     exponent_vector,
     infinite_order_certificate,
+    power_word,
 )
 from . import coset
 from .coset import CosetTable, todd_coxeter
@@ -43,7 +43,7 @@ from .errors import (
     UndecidableContextError,
     VerificationFailure,
 )
-from .intmat import IntMatrix, LatticeBasis, SNFResult, smith_normal_form
+from .intmat import Lattice
 from .words import (
     Presentation,
     RaagGraph,
@@ -152,16 +152,13 @@ class QNormalReport:
 def _spans_abelianization(ws: QNormalWitnessSet) -> bool:
     """Do the exponent images of S generate the abelianization of the ambient group?
 
-    The relators and S were checked when the witness set was built.  Zero
-    columns (every commutator relator gives one) do not change the lattice
-    the columns span, so the matrix leaves them out.
+    They do when the relator and S exponent vectors span all of Z^rank: full
+    rank with every pivot 1.  The relators and S were checked when the
+    witness set was built.
     """
     p = ws.ambient
-    vectors = (exponent_counts(w, p.rank) for w in p.relators + ws.generating_set)
-    cols = [v for v in vectors if any(v)]
-    m = IntMatrix(p.rank, len(cols), [[c[i] for c in cols] for i in range(p.rank)])
-    res = smith_normal_form(m)
-    return res.rank == p.rank and all(f == 1 for f in res.invariant_factors)
+    lattice = Lattice(p.rank, [exponent_counts(w, p.rank) for w in p.relators + ws.generating_set])
+    return lattice.rank == p.rank and lattice.pivot_product == 1
 
 
 def verify_qnormal(ws: QNormalWitnessSet, ctx: WordProblemContext) -> QNormalReport:
@@ -316,33 +313,20 @@ class CosetSolver:
         raise NotImplementedError
 
 
-def _power_word(exponents: Sequence[int]) -> Word:
-    out: list[int] = []
-    for g, e in enumerate(exponents, start=1):
-        out.extend([g if e > 0 else -g] * abs(e))
-    return tuple(out)
-
-
 class AbelianCosetSolver(CosetSolver):
     """Cosets in a free-abelian group modulo the lattice of the subgroup words."""
 
     def __init__(self, rank: int, subgroup_words: Sequence[Sequence[int]]):
         self.rank = rank
-        vectors = [exponent_vector(w, rank) for w in subgroup_words]
-        self.basis = LatticeBasis(rank, vectors)
-        self.matrix = IntMatrix(rank, len(vectors), [[vec[i] for vec in vectors] for i in range(rank)])
+        self.lattice = Lattice(rank, [exponent_vector(w, rank) for w in subgroup_words])
         self.description = f"free-abelian rank {rank} modulo a sublattice"
 
     def canonical(self, w: Sequence[int]) -> Word:
-        return _power_word(self.basis.reduce(exponent_vector(w, self.rank)))
-
-    @cached_property
-    def _snf(self) -> SNFResult:
-        return smith_normal_form(self.matrix, transforms=True)
+        return power_word(self.lattice.reduce(exponent_vector(w, self.rank)))
 
     def to_subgroup_letters(self, w: Sequence[int]) -> Optional[Word]:
-        sol = self._snf.solve(exponent_vector(w, self.rank))
-        return None if sol is None else _power_word(sol)
+        sol = self.lattice.solve(exponent_vector(w, self.rank))
+        return None if sol is None else power_word(sol)
 
 
 class ParabolicCosetSolver(CosetSolver):

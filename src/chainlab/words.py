@@ -92,17 +92,6 @@ def max_letter(w: Sequence[int]) -> int:
     return max((abs(x) for x in w), default=0)
 
 
-def parse_word(text: str) -> Word:
-    """Parse a comma-separated signed-integer word, e.g. "1,2,-1"."""
-    text = text.strip()
-    if not text or text == "e":
-        return ()
-    try:
-        return word(int(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise InputError(f"cannot parse word {text!r}: {exc}") from None
-
-
 def format_word(w: Sequence[int], names: Optional[Sequence[str]] = None) -> str:
     if not w:
         return "e"
@@ -165,10 +154,6 @@ def _bounded_word(w: Sequence[int], k: int) -> Word:
 
 def presentation(names: Sequence[str], relators: Iterable[Sequence[int]] = ()) -> Presentation:
     return Presentation(tuple(names), tuple(word(r) for r in relators))
-
-
-def free_presentation(rank: int, names: Optional[Sequence[str]] = None) -> Presentation:
-    return Presentation(tuple(names) if names else default_names(rank), ())
 
 
 def default_names(n: int) -> tuple[str, ...]:
@@ -327,7 +312,3 @@ def pile_normal_form(w: Word, n: int, non_commuters: Sequence[Sequence[int]]) ->
             i += 1
     assert heads[1:] == list(map(len, piles[1 : n + 1])), "pile invariant broken"
     return tuple(out)
-
-
-def words_commute(u: Sequence[int], v: Sequence[int], g: RaagGraph) -> bool:
-    return raag_normal_form(commutator(u, v), g) == ()

@@ -5,7 +5,6 @@ import pytest
 from chainlab.contexts import (
     CertificateStatus,
     EqualityVerdict,
-    abelianization_structure,
     abelianized_image,
     battery_context,
     exponent_vector,
@@ -13,10 +12,12 @@ from chainlab.contexts import (
     free_context,
     infinite_order_certificate,
     raag_context,
+    relator_exponent_matrix,
     torsion_basis_words,
 )
 from chainlab.coset import todd_coxeter
 from chainlab.errors import UndecidableContextError
+from chainlab.intmat import smith_normal_form
 from chainlab.words import commutator, presentation, raag_graph, word
 
 C4 = raag_graph(4, [(1, 3), (3, 2), (2, 4), (1, 4)])
@@ -73,6 +74,12 @@ def test_exponent_vector():
     assert exponent_vector((1, 2, -1, 2), 3) == (0, 2, 0)
     with pytest.raises(ValueError):
         exponent_vector((4,), 3)
+
+
+def abelianization_structure(p):
+    """(torsion-free rank, nontrivial torsion invariant factors) of the abelianization."""
+    res = smith_normal_form(relator_exponent_matrix(p))
+    return p.rank - res.rank, tuple(f for f in res.invariant_factors if f > 1)
 
 
 def test_abelianization_structure_examples():

@@ -18,10 +18,10 @@ from chainlab.coset import (
     todd_coxeter,
 )
 from chainlab.errors import BudgetExceededError, InputError
-from chainlab.words import commutator, free_presentation, presentation
+from chainlab.words import commutator, free_graph, presentation
 
-Z = free_presentation(1)
-F2 = free_presentation(2)
+Z = free_graph(1).presentation()
+F2 = free_graph(2).presentation()
 Z2 = presentation(("a", "b"), [commutator((1,), (2,))])
 ZXF2 = presentation(("a", "b", "c"), [commutator((1,), (2,)), commutator((1,), (3,))])
 

@@ -1,5 +1,6 @@
-"""The README quickstart and every demo script run as written."""
+"""The README quickstart and every demo script run as written; the module map is complete."""
 
+import importlib
 import os
 import re
 import subprocess
@@ -17,6 +18,16 @@ def test_readme_quickstart_runs():
     block = re.search(r"```python\n(.*?)```", readme, re.DOTALL)
     assert block is not None, "README has no python block"
     exec(compile(block.group(1), "README.md", "exec"), {})
+
+
+def test_readme_module_map_matches_the_package():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Module map", 1)[1].split("\n## ", 1)[0]
+    mapped = set(re.findall(r"^\| `chainlab\.(\w+)` \|", section, re.MULTILINE))
+    for name in sorted(mapped):
+        importlib.import_module(f"chainlab.{name}")
+    modules = {p.stem for p in (ROOT / "src" / "chainlab").glob("*.py")} - {"__init__", "__main__"}
+    assert mapped == modules
 
 
 def test_all_demos_collected():

@@ -12,7 +12,7 @@ from chainlab.folner import (
     folner_set,
     inner_folner_defect,
 )
-from chainlab.words import free_presentation, power, raag_graph
+from chainlab.words import free_graph, power, raag_graph
 
 P3 = raag_graph(3, [(1, 2), (2, 3)])  # path a - b - c: b commutes with everything
 
@@ -59,7 +59,7 @@ def test_folner_set_rejects_empty_and_battery():
     ctx = free_context(1)
     with pytest.raises(InputError):
         folner_set([], ctx)
-    battery = battery_context(free_presentation(2))
+    battery = battery_context(free_graph(2).presentation())
     with pytest.raises(UndecidableContextError):
         folner_set([(1,)], battery)
     f = folner_set([(1,)], ctx)

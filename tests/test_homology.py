@@ -19,10 +19,10 @@ from chainlab.homology import (
     series_to_json_dict,
 )
 from chainlab.intmat import rank_mod_p, rank_over_q, smith_normal_form
-from chainlab.words import commutator, free_presentation, free_reduce, inverse_word, presentation
+from chainlab.words import commutator, free_graph, free_reduce, inverse_word, presentation
 
-Z = free_presentation(1)
-F2 = free_presentation(2)
+Z = free_graph(1).presentation()
+F2 = free_graph(2).presentation()
 Z2 = presentation(("a", "b"), [commutator((1,), (2,))])
 KLEIN = presentation(("a", "b"), [(1, 2, 1, -2)])
 SURFACE2 = presentation(

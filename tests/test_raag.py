@@ -382,3 +382,10 @@ class TestDihedralCentralChains:
         cert, ctxs = artin_central_chain(4)
         report = verify_chain(cert, ctxs)
         assert report.status is QNormalStatus.CONSISTENT
+
+
+def test_chain_commuting_report_computes_no_smith_normal_form(snf_calls):
+    report = chain_commuting_report(cycle4())
+    assert report.verification.status is QNormalStatus.PROVEN
+    assert all(r.report.generating_set_spans_abelianization for r in report.verification.step_reports)
+    assert snf_calls == []

@@ -23,13 +23,11 @@ from chainlab.words import (
     free_reduce,
     inverse_word,
     max_letter,
-    parse_word,
     power,
     presentation,
     raag_graph,
     raag_normal_form,
     word,
-    words_commute,
 )
 
 
@@ -112,10 +110,6 @@ def test_word_helpers():
     assert power((1,), -2) == (-1, -1)
     assert free_reduce(conjugate((2,), (1,))) == (2, 1, -2)
     assert free_reduce(commutator((1,), (2,))) == (1, 2, -1, -2)
-    assert parse_word("1,2,-1") == (1, 2, -1)
-    assert parse_word("") == () and parse_word("e") == ()
-    with pytest.raises(ValueError):
-        parse_word("1,x")
     assert format_word((1, -2), ("a", "b")) == "a b^-1"
     assert format_word(()) == "e"
     with pytest.raises(ValueError):
@@ -227,12 +221,15 @@ def test_normal_form_is_a_class_function(g, u, v):
 
 
 def test_words_commute():
-    assert words_commute((1,), (3,), C4)
-    assert not words_commute((1,), (2,), C4)
-    assert words_commute((1, 3), (3,), C4)
+    def commute(u, v, g):
+        return raag_normal_form(commutator(u, v), g) == ()
+
+    assert commute((1,), (3,), C4)
+    assert not commute((1,), (2,), C4)
+    assert commute((1, 3), (3,), C4)
     # central element of the 2-strand even braid: (st)^2 in a 2-clique
     sq = power((1, 2), 2)
-    assert words_commute(sq, (1,), complete_graph(2))
+    assert commute(sq, (1,), complete_graph(2))
 
 
 # ------------------------------------------- the deque pile kernel as oracle
