@@ -6,7 +6,8 @@ timestamp.  Reports reference the manifest by name and contain no clock
 data themselves, so identical inputs produce byte-identical reports.
 
 Exit codes: 0 success, 2 malformed or unsupported input, 3 a bounded
-enumeration or search gave up, 4 a certificate or audit definitively failed.
+enumeration or search gave up or a chain level's index exceeds the budget,
+4 a certificate or audit definitively failed.
 """
 
 from __future__ import annotations
@@ -694,7 +695,8 @@ def cmd_rebuild(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", default="chainlab_out", help="output directory (default: chainlab_out)")
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="coset enumeration cap")
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                    help="coset cap: cosets one enumeration may define, or the index of a chain level")
     sp.add_argument("--radius", type=int, default=DEFAULT_RADIUS, help="ball radius for truncated graphs")
 
 

@@ -1,4 +1,12 @@
-"""Coset enumeration and finite-index subgroup chains.
+"""Coset tables, coset enumeration and finite-index subgroup chains.
+
+Chain levels are kernels of maps onto known finite abelian groups, Z/n or
+(Z/n)^b, so their tables are written down from the quotient map: cosets are
+the vectors of the quotient, each generator adds its image, and
+``CosetTable.verify()`` proves the result is the cover (Reidemeister-Schreier
+from a permutation representation; Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, 2005).  Subgroups given only by generating words
+are found by coset enumeration.
 
 The enumerator is a deterministic relator-scanning (HLT-style) Todd-Coxeter:
 subgroup generator words are scanned at the base coset, every relator is
@@ -30,17 +38,12 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, prod
 from typing import Optional, Sequence
 
-from .contexts import WordProblemContext, torsion_basis_words
+from .contexts import WordProblemContext, _relator_snf, exponent_counts, torsion_basis_words
 from .errors import BudgetExceededError, InputError
-from .words import (
-    Presentation,
-    Word,
-    commutator,
-    free_reduce,
-    power,
-)
+from .words import Presentation, Word, free_reduce, power
 
 DEFAULT_BUDGET = 100_000
 
@@ -177,8 +180,6 @@ def todd_coxeter(
     p: Presentation,
     subgroup_words: Sequence[Sequence[int]] = (),
     max_cosets: int = DEFAULT_BUDGET,
-    construction: str = "subgroup-enumeration",
-    known_normal: bool = False,
 ) -> CosetTable:
     """Enumerate the cosets of the subgroup generated by subgroup_words.
 
@@ -340,8 +341,6 @@ def todd_coxeter(
         subgroup_generators=tuple(subgroup_words),
         index=index,
         action=tuple(action),
-        construction=construction,
-        known_normal=known_normal,
     )
     result.verify()
     return result
@@ -372,47 +371,76 @@ class SubgroupChain:
         return tuple(t.index for t in self.levels)
 
 
+def _quotient_kernel(
+    p: Presentation,
+    images: Sequence[Sequence[int]],
+    moduli: Sequence[int],
+    subgroup_words: Sequence[Word],
+    construction: str,
+    max_cosets: int,
+) -> CosetTable:
+    """The kernel of g -> images[g-1] mod moduli, written down as a coset table.
+
+    Coset 1 + v_1 + m_1 v_2 + m_1 m_2 v_3 + ... is the vector v of
+    Z/m_1 x ... x Z/m_b (mixed radix, coset 1 the zero vector), and generator
+    g adds its image to it.  ``verify()`` proves that this is an action of
+    the presented group (every relator acts trivially), that the listed
+    subgroup words lie in the kernel and that the map is onto (the action is
+    transitive).  Raises BudgetExceededError when the index m_1...m_b
+    exceeds max_cosets.
+    """
+    index = prod(moduli)
+    if index > max_cosets:
+        raise BudgetExceededError(f"cover index {index} exceeds the budget of {max_cosets} cosets")
+    action = []
+    for image in images:
+        perm = [1]
+        stride = 1
+        for a, m in zip(image, moduli):
+            shifted = [(v + a) % m * stride for v in range(m)]
+            perm = [hi + lo for hi in shifted for lo in perm]
+            stride *= m
+        action.append(tuple(perm))
+    table = CosetTable(
+        presentation=p,
+        subgroup_generators=tuple(subgroup_words),
+        index=index,
+        action=tuple(action),
+        construction=construction,
+        known_normal=True,
+    )
+    table.verify()
+    return table
+
+
 def build_abelian_chain(
     p: Presentation,
     moduli: Sequence[int],
     max_cosets: int = DEFAULT_BUDGET,
 ) -> SubgroupChain:
-    """Levels are kernels of the maps onto (Z/n)^k through the torsion-free
-    abelianization, one per modulus n.
+    """Levels are kernels of the maps onto (Z/n)^b through the torsion-free
+    abelianization Z^b, one per modulus n.
 
-    Realized by coset enumeration over the presentation augmented with all
-    generator commutators (whose quotient is the abelianization): the
-    enumerated subgroup is generated by n-th powers of the generators together
-    with words generating the abelianization's torsion, so its preimage is
-    exactly the kernel.  These kernels are normal by construction.
+    A generator's image in Z^b is its column in the free rows of the relator
+    Smith transform U (rows rank.. of U, where rank counts the invariant
+    factors).  The listed subgroup words are the n-th powers of the
+    generators and words generating the abelianization's torsion; together
+    they normally generate the kernel.
     """
     moduli = [int(n) for n in moduli]
     if any(n < 1 for n in moduli):
         raise InputError("moduli must be positive")
-    aug_relators = list(p.relators)
-    for i in range(1, p.rank + 1):
-        for j in range(i + 1, p.rank + 1):
-            c = commutator((i,), (j,))
-            if c not in aug_relators:
-                aug_relators.append(c)
-    p_ab = Presentation(p.generator_names, tuple(aug_relators))
-    torsion_words = torsion_basis_words(p)
+    res = _relator_snf(p)
+    free_rows = res.U.data[res.rank:]
+    images = [[row[g] for row in free_rows] for g in range(p.rank)]
+    torsion_words = [w for w in torsion_basis_words(p) if w]
     levels = []
     labels = []
     for n in moduli:
-        subgroup = [power((g,), n) for g in range(1, p.rank + 1)]
-        subgroup += [w for w in torsion_words if w]
-        t_ab = todd_coxeter(p_ab, subgroup, max_cosets=max_cosets)
-        level = CosetTable(
-            presentation=p,
-            subgroup_generators=t_ab.subgroup_generators,
-            index=t_ab.index,
-            action=t_ab.action,
-            construction="abelian-quotient-kernel",
-            known_normal=True,
-        )
-        level.verify()
-        levels.append(level)
+        subgroup = [power((g,), n) for g in range(1, p.rank + 1)] + torsion_words
+        levels.append(_quotient_kernel(
+            p, images, [n] * len(free_rows), subgroup, "abelian-quotient-kernel", max_cosets
+        ))
         labels.append(f"abelian-n={n}")
     return SubgroupChain(p, tuple(levels), tuple(labels))
 
@@ -423,25 +451,25 @@ def cyclic_cover_chain(
     gen: int = 1,
     max_cosets: int = DEFAULT_BUDGET,
 ) -> SubgroupChain:
-    """Kernels of gen -> 1, other generators -> 0 into Z/n, one level per n.
+    """Kernels of gen -> 1, other generators -> 0 into Z/n', one level per n.
 
-    The level subgroup is enumerated from the Schreier-style generating words
-    gen^n and gen^k h gen^-k (h a non-distinguished generator, 0 <= k < n).
+    Here n' = gcd(n, exponent sums of gen over the relators): gen -> 1
+    respects the relators in Z/n' and in no larger quotient of Z/n, so the
+    level is the normal closure of gen^n and the other generators.  Its
+    listed subgroup words are gen^n' and the other generators.
     """
     if not (1 <= gen <= p.rank):
         raise InputError(f"generator index {gen} out of range")
+    sums = [exponent_counts(r, p.rank)[gen - 1] for r in p.relators]
+    images = [[1 if g == gen else 0] for g in range(1, p.rank + 1)]
     levels = []
     labels = []
     for n in ns:
         if n < 1:
             raise InputError("cover degrees must be positive")
-        subgroup: list[Word] = [power((gen,), n)]
-        for h in range(1, p.rank + 1):
-            if h == gen:
-                continue
-            for k in range(n):
-                subgroup.append(free_reduce(power((gen,), k) + (h,) + power((gen,), -k)))
-        levels.append(todd_coxeter(p, subgroup, max_cosets=max_cosets))
+        m = gcd(n, *sums)
+        subgroup = [power((gen,), m)] + [(h,) for h in range(1, p.rank + 1) if h != gen]
+        levels.append(_quotient_kernel(p, images, [m], subgroup, "cyclic-quotient-kernel", max_cosets))
         labels.append(f"cyclic-n={n}")
     return SubgroupChain(p, tuple(levels), tuple(labels))
 

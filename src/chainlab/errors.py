@@ -6,7 +6,7 @@ class InputError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """A bounded enumeration hit its budget before completing (exit code 3)."""
+    """A bounded enumeration hit its budget, or a cover's index exceeds it (exit code 3)."""
 
 
 class VerificationFailure(RuntimeError):

@@ -417,6 +417,8 @@ class Lattice:
         self.pivots: list[int] = []  # increasing
         self.coefficients: list[list[int]] = []
         for k, v in enumerate(vectors):
+            if not any(v):  # _insert would return at once
+                continue
             t = [0] * len(vectors)
             t[k] = 1
             self._insert(v, t)

@@ -111,6 +111,14 @@ class TestHomologyCommand:
         ])
         assert rc == 3
 
+    @pytest.mark.parametrize("budget, code", [(49, 3), (50, 0)])
+    def test_budget_caps_the_cover_index(self, budget, code, tmp_path):
+        rc = main([
+            "homology", str(DATA / "F2.json"), "--chain", "cyclic:n=50",
+            "--budget", str(budget), "--out", str(tmp_path / "o"),
+        ])
+        assert rc == code
+
 
 class TestQnormalCommands:
     def test_verify_golden_chain(self, tmp_path):

@@ -3,9 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from coset_oracles import augmented_abelian_kernel, bfs_relabelled, schreier_cyclic_kernel
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from chainlab.contexts import free_context
+from chainlab.contexts import exponent_counts, free_context
 from chainlab.coset import (
+    DEFAULT_BUDGET,
     CosetTable,
     SubgroupChain,
     build_abelian_chain,
@@ -18,12 +22,16 @@ from chainlab.coset import (
     todd_coxeter,
 )
 from chainlab.errors import BudgetExceededError, InputError
-from chainlab.words import commutator, free_graph, presentation
+from chainlab.words import commutator, free_graph, free_reduce, presentation
 
 Z = free_graph(1).presentation()
 F2 = free_graph(2).presentation()
 Z2 = presentation(("a", "b"), [commutator((1,), (2,))])
+Z3 = presentation(("a", "b", "c"), [commutator((1,), (2,)), commutator((1,), (3,)), commutator((2,), (3,))])
 ZXF2 = presentation(("a", "b", "c"), [commutator((1,), (2,)), commutator((1,), (3,))])
+GENUS2 = presentation(("a", "b", "c", "d"), [commutator((1,), (2,)) + commutator((3,), (4,))])
+S3 = presentation(("a", "b"), [(1, 1), (2, 2), (1, 2) * 3])
+A6B4 = presentation(("a", "b"), [(1,) * 6 + (-2,) * 4])  # abelianization Z x Z/2
 
 
 # ----------------------------------------------------- enumerations of record
@@ -175,6 +183,76 @@ def test_cyclic_cover_chain():
         cyclic_cover_chain(F2, [2], gen=3)
     with pytest.raises(InputError):
         cyclic_cover_chain(F2, [0])
+
+
+def test_cyclic_cover_index_divides_the_exponent_sums():
+    # a has exponent sum 6 and b exponent sum -4 in a^6 b^-4
+    assert cyclic_cover_chain(A6B4, [4, 8, 9]).indices == (2, 2, 3)
+    assert cyclic_cover_chain(A6B4, [4, 8, 9], gen=2).indices == (4, 4, 1)
+    level = cyclic_cover_chain(A6B4, [8]).levels[0]
+    assert level.subgroup_generators == ((1, 1), (2,))
+    assert level.construction == "cyclic-quotient-kernel" and level.known_normal
+
+
+def test_chain_budget_caps_the_index():
+    assert cyclic_cover_chain(F2, [50], max_cosets=50).indices == (50,)
+    with pytest.raises(BudgetExceededError):
+        cyclic_cover_chain(F2, [50], max_cosets=49)
+    assert build_abelian_chain(Z2, [7], max_cosets=49).indices == (49,)
+    with pytest.raises(BudgetExceededError):
+        build_abelian_chain(Z2, [7], max_cosets=48)
+
+
+def test_large_levels_build_at_the_default_budget():
+    level = build_abelian_chain(Z2, [316]).levels[0]
+    assert level.index == 316 ** 2 <= DEFAULT_BUDGET
+    assert level.trace(1, (1,) * 316) == 1 and level.trace(1, (1,) * 158) != 1
+    one_relator = presentation(("a", "b"), [(1, 2, 1, -2, -1, 2, 2, -1, -2)])
+    assert cyclic_cover_chain(one_relator, [10_000]).indices == (10_000,)
+
+
+# -------------------------------------- the Todd-Coxeter constructions as oracles
+
+
+@st.composite
+def one_relator_groups(draw):
+    """<a, b | r> with r cyclically reduced and a nonzero exponent sum of gen."""
+    gen = draw(st.sampled_from([1, 2]))
+    r = free_reduce(tuple(draw(st.lists(st.sampled_from([1, -1, 2, -2]), min_size=2, max_size=10))))
+    while len(r) > 1 and r[0] == -r[-1]:
+        r = r[1:-1]
+    assume(exponent_counts(r, 2)[gen - 1] != 0)
+    return presentation(("a", "b"), [r]), gen
+
+
+@st.composite
+def quotient_kernel_cases(draw):
+    """(kind, presentation, n, gen) with small Todd-Coxeter enumerations."""
+    kind = draw(st.sampled_from(["cyclic", "abelian"]))
+    if draw(st.integers(0, 3)) == 0:
+        p, gen = draw(one_relator_groups())
+    else:
+        p = draw(st.sampled_from([F2, Z2, Z3, GENUS2, ZXF2, S3, A6B4]))
+        gen = draw(st.sampled_from([1, 2]))
+    if kind == "cyclic":
+        n = draw(st.integers(1, 12))
+    else:
+        n = draw(st.integers(1, {2: 8, 3: 4, 4: 3}[p.rank]))
+    return kind, p, n, gen
+
+
+@settings(max_examples=150, deadline=None)
+@given(quotient_kernel_cases())
+def test_written_down_kernels_match_todd_coxeter(case):
+    kind, p, n, gen = case
+    if kind == "cyclic":
+        direct = cyclic_cover_chain(p, [n], gen=gen).levels[0]
+        oracle = schreier_cyclic_kernel(p, n, gen=gen)
+    else:
+        direct = build_abelian_chain(p, [n]).levels[0]
+        oracle = augmented_abelian_kernel(p, n)
+    assert direct.index == oracle.index
+    assert bfs_relabelled(direct) == bfs_relabelled(oracle)
 
 
 def test_subgroup_words_chain_and_validation():

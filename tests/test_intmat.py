@@ -325,6 +325,30 @@ def test_lattice_matches_the_retired_oracles(case):
         assert [sum(c * g[i] for c, g in zip(u, gens)) for i in range(dim)] == v
 
 
+def lattice_inserting_zero_vectors(dim, vectors):
+    """``Lattice(dim, vectors)`` as built before zero vectors were skipped."""
+    lat = Lattice.__new__(Lattice)
+    vectors = [list(map(int, v)) for v in vectors]
+    lat.dim, lat.generators = dim, len(vectors)
+    lat.rows, lat.pivots, lat.coefficients = [], [], []
+    for k, v in enumerate(vectors):
+        t = [0] * len(vectors)
+        t[k] = 1
+        lat._insert(v, t)
+    return lat
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattices(), st.data())
+def test_skipping_zero_vectors_keeps_the_echelon_rows(case, data):
+    dim, gens, _, _ = case
+    at = data.draw(st.integers(0, len(gens)))
+    gens = gens[:at] + [[0] * dim] + gens[at:]
+    lat, old = Lattice(dim, gens), lattice_inserting_zero_vectors(dim, gens)
+    assert (lat.rows, lat.pivots, lat.coefficients) == (old.rows, old.pivots, old.coefficients)
+    assert lat.generators == len(gens)
+
+
 def test_matmul_matches_schoolbook_product():
     rng = random.Random(11)
     for _ in range(200):

@@ -1,6 +1,7 @@
 """Witness certificates, coset graphs, paths, trimming, and blow-ups."""
 
 import pytest
+from coset_oracles import schreier_cyclic_kernel
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -673,9 +674,9 @@ Z3 = presentation(("a", "b", "c"), [(1, 2, -1, -2), (1, 3, -1, -3), (2, 3, -2, -
 def table_cases(draw):
     """(table, words): an S_n parabolic, a cyclic cover or an abelian cover.
 
-    Abelian covers come twice: as the kernel table of build_abelian_chain,
-    whose listed words do not generate the stabilizer (no edge orbits), and
-    as a subgroup enumeration of the same kernel.
+    Covers come twice: as the kernel table of the chain builder, whose listed
+    words do not generate the stabilizer (no edge orbits), and as a subgroup
+    enumeration of the same kernel.
     """
     kind = draw(st.sampled_from(["parabolic", "cyclic", "abelian"]))
     if kind == "parabolic":
@@ -684,7 +685,8 @@ def table_cases(draw):
         tables = [todd_coxeter(coxeter_symmetric(n), [(j,) for j in sorted(J)])]
     elif kind == "cyclic":
         p = draw(st.sampled_from([free_graph(2).presentation(), plane_presentation(), S3]))
-        tables = [cyclic_cover_chain(p, [draw(st.integers(1, 7))], gen=draw(st.integers(1, 2))).levels[0]]
+        n, gen = draw(st.integers(1, 7)), draw(st.integers(1, 2))
+        tables = [cyclic_cover_chain(p, [n], gen=gen).levels[0], schreier_cyclic_kernel(p, n, gen=gen)]
     else:
         p = draw(st.sampled_from([plane_presentation(), Z3]))
         n = draw(st.integers(1, 5 if p.rank == 2 else 3))
