@@ -113,19 +113,19 @@ class CosetTable:
         return tuple(perm)
 
     @cached_property
-    def _breadth_first(self) -> tuple[tuple[Word, ...], tuple[tuple[int, int, int], ...]]:
-        """One BFS from the base coset over letters +1..+r,-1..-r.
+    def spanning_tree(self) -> tuple[tuple[int, int, int], ...]:
+        """The BFS tree of the Schreier graph as index - 1 steps (c, x, c.x).
 
-        Returns the representative words and, in discovery order, one step
-        (c, x, c.x) per coset reached after the base: the Schreier-graph edge
-        that first reached it.  Raises InputError unless the action is
-        transitive.
+        One BFS from the base coset over letters +1..+r,-1..-r; each step is
+        the edge, x a signed letter, that first reached c.x, in discovery
+        order, so each step's c was reached before it.  Raises InputError
+        unless the action is transitive.
         """
         rank = self.presentation.rank
         letters = list(range(1, rank + 1)) + list(range(-1, -rank - 1, -1))
         columns = self.columns
-        reps: list = [None] * (self.index + 1)
-        reps[1] = ()
+        seen = [False] * (self.index + 1)
+        seen[1] = True
         steps: list[tuple[int, int, int]] = []
         queue = [1]
         while queue:
@@ -133,26 +133,27 @@ class CosetTable:
             for c in queue:
                 for letter in letters:
                     d = columns[letter][c]
-                    if reps[d] is None:
-                        reps[d] = reps[c] + (letter,)
+                    if not seen[d]:
+                        seen[d] = True
                         steps.append((c, letter, d))
                         nxt.append(d)
             queue = nxt
         if len(steps) != self.index - 1:
             raise InputError("the generator actions do not act transitively")
-        return tuple(reps[1:]), tuple(steps)
+        return tuple(steps)
 
-    @property
+    @cached_property
     def transversal(self) -> tuple[Word, ...]:
-        """Shortest representative words, breadth-first over letters +1..+r,-1..-r."""
-        return self._breadth_first[0]
+        """Shortest representative words, read off the spanning tree.
 
-    @property
-    def spanning_tree(self) -> tuple[tuple[int, int, int], ...]:
-        """The BFS tree of the Schreier graph as index - 1 steps (c, x, c.x),
-        x a signed letter, in discovery order: each step's c was reached
-        before it."""
-        return self._breadth_first[1]
+        Built only when asked: the words of a cyclic level of index n have
+        total length about n^2/4.
+        """
+        reps: list = [None] * (self.index + 1)
+        reps[1] = ()
+        for c, letter, d in self.spanning_tree:
+            reps[d] = reps[c] + (letter,)
+        return tuple(reps[1:])
 
     def verify(self) -> None:
         """Re-check the defining invariants (raises InputError on failure)."""
@@ -163,7 +164,7 @@ class CosetTable:
         for s in self.subgroup_generators:
             if self.trace(1, s) != 1:
                 raise InputError(f"subgroup generator {s} does not fix the base coset")
-        self.transversal  # transitivity
+        self.spanning_tree  # transitivity
 
 
 def fx(gamma: Sequence[int], table: CosetTable) -> Fraction:

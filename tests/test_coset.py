@@ -93,6 +93,16 @@ def test_transversal_represents_every_coset():
         assert t.trace(1, rep) == c
 
 
+def test_transversal_words_are_built_on_demand():
+    # verify() needs only the spanning tree; a cyclic level's words have quadratic total length
+    level = cyclic_cover_chain(F2, [6]).levels[0]
+    assert "transversal" not in vars(level)
+    assert len(level.spanning_tree) == 5
+    assert level.transversal == ((), (1,), (1, 1), (1, 1, 1), (-1, -1), (-1,))
+    for c, rep in enumerate(level.transversal, start=1):
+        assert level.trace(1, rep) == c
+
+
 @pytest.mark.parametrize("bad", [(3,), (-3,), (0,), (1.5,)])
 def test_lookups_refuse_letters_outside_the_column_store(bad):
     # columns are indexed by the signed letter, so an unchecked 3 or -3
