@@ -54,8 +54,7 @@ class CosetTable:
 
     subgroup_generators are words known to fix the base coset; when
     ``construction == "subgroup-enumeration"`` they generate the full point
-    stabilizer.  ``known_normal`` marks tables built as kernels of maps to
-    abelian quotients, which are normal by construction.
+    stabilizer.
     """
 
     presentation: Presentation
@@ -63,7 +62,6 @@ class CosetTable:
     index: int
     action: tuple[tuple[int, ...], ...]
     construction: str = "subgroup-enumeration"
-    known_normal: bool = False
 
     def __post_init__(self):
         if self.index < 1:
@@ -408,7 +406,6 @@ def _quotient_kernel(
         index=index,
         action=tuple(action),
         construction=construction,
-        known_normal=True,
     )
     table.verify()
     return table
@@ -475,24 +472,13 @@ def cyclic_cover_chain(
     return SubgroupChain(p, tuple(levels), tuple(labels))
 
 
-def subgroup_words_chain(
-    p: Presentation,
-    level_words: Sequence[Sequence[Sequence[int]]],
-    labels: Optional[Sequence[str]] = None,
-    max_cosets: int = DEFAULT_BUDGET,
-) -> SubgroupChain:
-    """One level per supplied subgroup generating set."""
-    levels = tuple(todd_coxeter(p, ws, max_cosets=max_cosets) for ws in level_words)
-    if labels is None:
-        labels = tuple(f"level-{i}" for i in range(len(levels)))
-    return SubgroupChain(p, levels, tuple(labels))
-
-
 _RANGE = re.compile(r"^(\d+)\.\.(\d+)$")
 
 
 def parse_chain_spec(spec: str, p: Presentation, max_cosets: int = DEFAULT_BUDGET) -> SubgroupChain:
     """Parse "abelian:n=2,4,8" / "abelian:n=1..5" / "cyclic:n=2..8[,gen=2]"."""
+    if max_cosets < 1:
+        raise InputError("budget must be at least 1")
     try:
         kind, _, args = spec.partition(":")
         params: dict[str, str] = {}
@@ -521,61 +507,6 @@ def parse_chain_spec(spec: str, p: Presentation, max_cosets: int = DEFAULT_BUDGE
 
 
 # --------------------------------------------------------------- evidence
-
-
-@dataclass(frozen=True)
-class LevelCheck:
-    label: str
-    index: int
-    nested_in_previous: Optional[bool]  # None for the first level
-    conjugates_fix_base: bool
-    normality: str  # "proven" or "evidence-only"
-
-
-@dataclass(frozen=True)
-class ResidualChainReport:
-    levels: tuple[LevelCheck, ...]
-    nested: bool
-    all_normal_proven: bool
-    note: str = (
-        "finite-prefix check: nestedness and normality are certified per level; "
-        "triviality of the intersection is not a finite property"
-    )
-
-
-def residual_chain_check(chain: SubgroupChain) -> ResidualChainReport:
-    """Certify nestedness and normality of each level of the chain.
-
-    Nestedness: every subgroup generator word of level k+1 fixes the base
-    coset of level k.  Normality: conjugates of every subgroup generator by
-    every signed group generator fix the base coset; this proves normality
-    when the listed words generate the full stabilizer, and tables built as
-    abelian-quotient kernels are normal by construction.
-    """
-    checks = []
-    for k, level in enumerate(chain.levels):
-        nested: Optional[bool] = None
-        if k > 0:
-            prev = chain.levels[k - 1]
-            nested = all(prev.trace(1, w) == 1 for w in level.subgroup_generators)
-        conj_ok = True
-        for s in level.subgroup_generators:
-            for g in range(1, chain.presentation.rank + 1):
-                for signed in (g, -g):
-                    if level.trace(1, free_reduce((signed,) + tuple(s) + (-signed,))) != 1:
-                        conj_ok = False
-        if level.known_normal:
-            normality = "proven"
-        elif conj_ok and level.construction == "subgroup-enumeration":
-            # the words generate the stabilizer; generator conjugation closure
-            # at finite index proves normality
-            normality = "proven"
-        else:
-            normality = "evidence-only" if conj_ok else "fails"
-        checks.append(LevelCheck(chain.labels[k], level.index, nested, conj_ok, normality))
-    nested_all = all(c.nested_in_previous in (None, True) for c in checks)
-    normal_all = all(c.normality == "proven" for c in checks)
-    return ResidualChainReport(tuple(checks), nested_all, normal_all)
 
 
 @dataclass(frozen=True)

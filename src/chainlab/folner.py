@@ -50,28 +50,6 @@ def inner_folner_defect(f: FolnerSet, gamma: Sequence[int], ctx: WordProblemCont
     return Fraction(len(sym), len(base))
 
 
-def commuting_conjugates_folner(
-    enumeration: Sequence[Sequence[int]],
-    conjugators: Sequence[Sequence[int]],
-    n: int,
-    ctx: WordProblemContext,
-) -> FolnerSet:
-    """The n-th set {f_n g_0 f_n^-1, ..., f_n g_n f_n^-1} of a conjugate-slice sequence.
-
-    The enumeration lists group elements g_0, g_1, ...; the conjugators list
-    supplies one conjugating element per stage (they are inputs, not searched
-    for).  Elements are deduplicated under the active context.
-    """
-    if n < 0:
-        raise InputError("stage n must be non-negative")
-    if len(enumeration) < n + 1:
-        raise InputError(f"stage {n} needs at least {n + 1} enumerated elements")
-    if len(conjugators) < n + 1:
-        raise InputError(f"stage {n} needs at least {n + 1} conjugators")
-    f_n = tuple(conjugators[n])
-    return folner_set([conjugate(f_n, enumeration[i]) for i in range(n + 1)], ctx)
-
-
 @dataclass(frozen=True)
 class FolnerSequenceReport:
     """Cardinalities and defects along a sequence of Folner sets.

@@ -48,24 +48,11 @@ class IntMatrix:
         self.data = data
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
-        rows = [list(map(int, r)) for r in rows]
-        if cols is None:
-            if not rows:
-                raise ValueError("column count required for a matrix with no rows")
-            cols = len(rows[0])
-        return cls(len(rows), cols, rows)
-
-    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         m = cls(n, n)
         for i in range(n):
             m.data[i][i] = 1
         return m
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols)
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows, [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
@@ -107,12 +94,6 @@ class IntMatrix:
         self._same_shape(other)
         return IntMatrix(self.rows, self.cols,
                          [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [[-a for a in r] for r in self.data])
-
-    def column(self, j: int) -> list[int]:
-        return [row[j] for row in self.data]
 
     def _same_shape(self, other: "IntMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:

@@ -161,6 +161,22 @@ def _spans_abelianization(ws: QNormalWitnessSet) -> bool:
     return lattice.rank == p.rank and lattice.pivot_product == 1
 
 
+def _check_witness(s: Word, w: Word, expr_in_subgroup: Word, expr_in_conjugate: Word,
+                   subgroup_words: Sequence[Word], ctx: WordProblemContext) -> WitnessReport:
+    """Is w = expr_in_subgroup in L, w = s expr_in_conjugate s^-1 and of infinite order?"""
+    v_sub = ctx.equal(w, iota(expr_in_subgroup, subgroup_words))
+    conj = free_reduce(tuple(s) + iota(expr_in_conjugate, subgroup_words) + inverse_word(s))
+    v_conj = ctx.equal(w, conj)
+    cert = infinite_order_certificate(w, ctx)
+    if EqualityVerdict.UNEQUAL in (v_sub, v_conj):
+        status = QNormalStatus.FAILED
+    elif v_sub is EqualityVerdict.EQUAL and v_conj is EqualityVerdict.EQUAL and cert.proven:
+        status = QNormalStatus.PROVEN
+    else:
+        status = QNormalStatus.CONSISTENT
+    return WitnessReport(s, w, v_sub, v_conj, cert, status)
+
+
 def verify_qnormal(ws: QNormalWitnessSet, ctx: WordProblemContext) -> QNormalReport:
     """Check every witness in the given word-problem context.
 
@@ -170,19 +186,10 @@ def verify_qnormal(ws: QNormalWitnessSet, ctx: WordProblemContext) -> QNormalRep
     """
     if ctx.presentation != ws.ambient:
         raise InputError("context and witness set describe different ambient groups")
-    reports = []
-    for s, wit in zip(ws.generating_set, ws.witnesses):
-        v_sub = ctx.equal(wit.w, iota(wit.expr_in_subgroup, ws.subgroup_words))
-        conj = free_reduce(tuple(s) + iota(wit.expr_in_conjugate, ws.subgroup_words) + inverse_word(s))
-        v_conj = ctx.equal(wit.w, conj)
-        cert = infinite_order_certificate(wit.w, ctx)
-        if EqualityVerdict.UNEQUAL in (v_sub, v_conj):
-            status = QNormalStatus.FAILED
-        elif v_sub is EqualityVerdict.EQUAL and v_conj is EqualityVerdict.EQUAL and cert.proven:
-            status = QNormalStatus.PROVEN
-        else:
-            status = QNormalStatus.CONSISTENT
-        reports.append(WitnessReport(s, wit.w, v_sub, v_conj, cert, status))
+    reports = [
+        _check_witness(s, wit.w, wit.expr_in_subgroup, wit.expr_in_conjugate, ws.subgroup_words, ctx)
+        for s, wit in zip(ws.generating_set, ws.witnesses)
+    ]
     return QNormalReport(
         witness_reports=tuple(reports),
         generating_set_spans_abelianization=_spans_abelianization(ws),
@@ -882,17 +889,14 @@ def blow_up(
             "the blow-up demands an infinite-intersection witness per orbit"
         )
     for c in connectors:
+        # a Connector checks nothing when it is built, so its indices are checked here
         for expr in (c.witness_in_subgroup, c.witness_in_conjugate):
             for letter in expr:
                 if not (1 <= abs(letter) <= len(subgroup_words)):
                     raise InputError("connector witness expression letter out of range")
-        in_l = ctx.equal(c.witness, iota(c.witness_in_subgroup, subgroup_words))
-        conj = free_reduce(
-            tuple(c.g_f) + iota(c.witness_in_conjugate, subgroup_words) + inverse_word(c.g_f)
-        )
-        in_conj = ctx.equal(c.witness, conj)
-        cert = infinite_order_certificate(c.witness, ctx)
-        if in_l is not EqualityVerdict.EQUAL or in_conj is not EqualityVerdict.EQUAL or not cert.proven:
+        report = _check_witness(c.g_f, c.witness, c.witness_in_subgroup, c.witness_in_conjugate,
+                                subgroup_words, ctx)
+        if report.status is not QNormalStatus.PROVEN:
             raise InputError(
                 f"connector for outer orbit {c.outer_label} lacks a proven "
                 "infinite-intersection witness; construction refused"

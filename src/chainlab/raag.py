@@ -166,31 +166,16 @@ class ChainCommutingSequence:
         if len(self.order_certificates) != len(self.elements):
             raise InputError("need one order certificate per element")
 
-    @property
-    def all_machine_verified(self) -> bool:
-        return all(p.machine_verified for p in self.proofs) and all(
-            c.proven for c in self.order_certificates
-        )
-
     def letters_used(self) -> frozenset[int]:
         return frozenset(abs(x) for e in self.elements for x in e)
 
 
-def commuting_vertex_walk(g: RaagGraph, start: int = 1) -> tuple[int, ...]:
+def _depth_first_walk(g: RaagGraph, start: int) -> Optional[tuple[int, ...]]:
     """A depth-first edge walk meeting every vertex, cut at the last first visit.
 
-    Consecutive entries are adjacent; vertices may repeat (the walk backtracks
-    through already-visited vertices), so every connected graph admits one.
-    Raises for disconnected graphs.
+    Consecutive entries are adjacent and backtracking repeats vertices; None
+    when the graph is disconnected.
     """
-    walk = _depth_first_walk(g, start)
-    if walk is None:
-        raise InputError("the graph is disconnected: no edge walk meets every vertex")
-    return walk
-
-
-def _depth_first_walk(g: RaagGraph, start: int) -> Optional[tuple[int, ...]]:
-    """The walk of commuting_vertex_walk, or None when it cannot meet every vertex."""
     if not (1 <= start <= g.vertex_count):
         raise InputError(f"start vertex {start} out of range")
     visited = {start}

@@ -340,21 +340,21 @@ def identity_rebuilding(complex_: CWChainData) -> RebuildingData:
     a = complex_.alpha
     eye = tuple(IntMatrix.identity(c) for c in complex_.cell_counts)
     rho = tuple(
-        IntMatrix.zeros(complex_.cell_counts[j + 1], complex_.cell_counts[j]) for j in range(a)
+        IntMatrix(complex_.cell_counts[j + 1], complex_.cell_counts[j]) for j in range(a)
     )
     return RebuildingData(Y=complex_, Yprime=complex_, g_maps=eye, h_maps=eye, rho_maps=rho)
 
 
 def circle_complex() -> CWChainData:
     """One 0-cell, one 1-cell, zero boundary: the standard circle."""
-    return CWChainData(alpha=1, cell_counts=(1, 1), boundaries=(IntMatrix.zeros(1, 1),))
+    return CWChainData(alpha=1, cell_counts=(1, 1), boundaries=(IntMatrix(1, 1),))
 
 
 def subdivided_circle_complex(n: int) -> CWChainData:
     """The circle subdivided into n arcs: d1(e_i) = v_{i+1} - v_i cyclically."""
     if n < 1:
         raise InputError("need at least one arc")
-    d1 = IntMatrix.zeros(n, n)
+    d1 = IntMatrix(n, n)
     for i in range(n):
         d1.data[(i + 1) % n][i] += 1
         d1.data[i % n][i] -= 1

@@ -214,9 +214,6 @@ class RaagGraph:
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self._adjacency[i]
 
-    def degree(self, i: int) -> int:
-        return len(self.neighbors(i))
-
     def is_connected(self) -> bool:
         seen = {1}
         stack = [1]

@@ -1,0 +1,30 @@
+"""Every entry point the benchmark tracer wraps still exists in the package.
+
+``perfbench/tracer.py`` skips an entry point it cannot find, and that
+entry's per-layer metrics then drop out of the traced result line without
+any error, so a deleted or renamed function is caught here instead.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = load_tracer()
+
+
+@pytest.mark.parametrize("entry", tracer.ENTRIES, ids=lambda e: f"{e.module}.{e.attr}")
+def test_traced_entry_point_exists(entry):
+    assert tracer._resolve(entry.module, entry.attr) is not None

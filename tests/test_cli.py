@@ -119,6 +119,16 @@ class TestHomologyCommand:
         ])
         assert rc == code
 
+    def test_non_positive_budget_is_an_input_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main([
+            "homology", str(DATA / "Z2.json"), "--chain", "abelian:n=1",
+            "--budget", "0", "--out", str(out),
+        ])
+        assert rc == 2
+        assert "budget must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestQnormalCommands:
     def test_verify_golden_chain(self, tmp_path):
@@ -281,6 +291,16 @@ class TestFarberCommand:
         argv = ["farber", str(group), "--chain", "abelian:n=1..3", "--out", str(tmp_path / "o")]
         assert main(argv + ["--gammas", "a'a"]) == 2
         assert main(argv + ["--gammas", "a"]) == 0
+
+    def test_negative_budget_is_an_input_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main([
+            "farber", str(DATA / "Z2.json"), "--chain", "abelian:n=1",
+            "--gammas", "a", "--budget", "-1", "--out", str(out),
+        ])
+        assert rc == 2
+        assert "budget must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_free_group_table(self, tmp_path):
         out = tmp_path / "run"

@@ -17,8 +17,6 @@ from chainlab.coset import (
     farber_prefix_check,
     fx,
     parse_chain_spec,
-    residual_chain_check,
-    subgroup_words_chain,
     todd_coxeter,
 )
 from chainlab.errors import BudgetExceededError, InputError
@@ -153,7 +151,6 @@ def test_fx_divisibility_on_z_chain():
 def test_abelian_chain_on_z():
     chain = build_abelian_chain(Z, [1, 2, 3, 4])
     assert chain.indices == (1, 2, 3, 4)
-    assert all(t.known_normal for t in chain.levels)
     assert all(t.construction == "abelian-quotient-kernel" for t in chain.levels)
     assert chain.labels == ("abelian-n=1", "abelian-n=2", "abelian-n=3", "abelian-n=4")
 
@@ -201,7 +198,7 @@ def test_cyclic_cover_index_divides_the_exponent_sums():
     assert cyclic_cover_chain(A6B4, [4, 8, 9], gen=2).indices == (4, 4, 1)
     level = cyclic_cover_chain(A6B4, [8]).levels[0]
     assert level.subgroup_generators == ((1, 1), (2,))
-    assert level.construction == "cyclic-quotient-kernel" and level.known_normal
+    assert level.construction == "cyclic-quotient-kernel"
 
 
 def test_chain_budget_caps_the_index():
@@ -266,7 +263,8 @@ def test_written_down_kernels_match_todd_coxeter(case):
 
 
 def test_subgroup_words_chain_and_validation():
-    chain = subgroup_words_chain(Z, [[(1, 1)], [(1, 1, 1, 1)]], labels=("2Z", "4Z"))
+    levels = (todd_coxeter(Z, [(1, 1)]), todd_coxeter(Z, [(1, 1, 1, 1)]))
+    chain = SubgroupChain(Z, levels, ("2Z", "4Z"))
     assert chain.indices == (2, 4)
     assert chain.labels == ("2Z", "4Z")
     with pytest.raises(InputError):
@@ -295,32 +293,6 @@ def test_parse_chain_spec_rejects(spec):
 
 
 # ----------------------------------------------------------------- evidence
-
-
-def test_residual_chain_report_proven_normal():
-    chain = build_abelian_chain(Z, [2, 4, 8])
-    report = residual_chain_check(chain)
-    assert report.nested
-    assert report.all_normal_proven
-    assert report.levels[0].nested_in_previous is None
-    assert all(c.nested_in_previous for c in report.levels[1:])
-    assert "finite" in report.note
-
-
-def test_residual_chain_detects_non_nesting():
-    chain = subgroup_words_chain(Z, [[(1, 1)], [(1, 1, 1)]])  # 2Z then 3Z
-    report = residual_chain_check(chain)
-    assert not report.nested
-    assert report.levels[1].nested_in_previous is False
-
-
-def test_residual_chain_detects_non_normal():
-    s3 = presentation(("a", "b"), [(1, 1), (2, 2), (1, 2) * 3])
-    chain = subgroup_words_chain(s3, [[(2,)]])  # <b> has index 3, not normal
-    report = residual_chain_check(chain)
-    assert not report.all_normal_proven
-    assert report.levels[0].normality == "fails"
-    assert not report.levels[0].conjugates_fix_base
 
 
 def test_farber_prefix_check_on_z_chain():

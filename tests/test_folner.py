@@ -1,4 +1,4 @@
-"""Inner Folner sets: exact defects, slice construction, sequence reports."""
+"""Inner Folner sets: exact defects, conjugated slices, sequence reports."""
 
 from fractions import Fraction
 
@@ -6,13 +6,8 @@ import pytest
 
 from chainlab.contexts import battery_context, free_abelian_context, free_context, raag_context
 from chainlab.errors import InputError, UndecidableContextError
-from chainlab.folner import (
-    commuting_conjugates_folner,
-    folner_sequence_report,
-    folner_set,
-    inner_folner_defect,
-)
-from chainlab.words import free_graph, power, raag_graph
+from chainlab.folner import folner_sequence_report, folner_set, inner_folner_defect
+from chainlab.words import conjugate, free_graph, power, raag_graph
 
 P3 = raag_graph(3, [(1, 2), (2, 3)])  # path a - b - c: b commutes with everything
 
@@ -71,9 +66,8 @@ def test_central_slices_have_zero_defect():
     # In the path group, b is central; conjugated slices of powers of b are
     # untouched by conjugation no matter what the conjugators are.
     ctx = raag_context(P3)
-    enumeration = [power((2,), k) for k in range(6)]
-    conjugators = [power((1,), n) for n in range(6)]
-    sets = [commuting_conjugates_folner(enumeration, conjugators, n, ctx) for n in range(4)]
+    sets = [folner_set([conjugate(power((1,), n), power((2,), k)) for k in range(n + 1)], ctx)
+            for n in range(4)]
     assert [s.size for s in sets] == [1, 2, 3, 4]
     report = folner_sequence_report(sets, [(1,), (3,), (3, 1)], ctx)
     assert report.cardinalities == (1, 2, 3, 4)
@@ -84,23 +78,11 @@ def test_central_slices_have_zero_defect():
 
 def test_noncentral_slices_show_positive_defect():
     ctx = free_context(2)
-    enumeration = [power((1,), k) for k in range(4)]
-    conjugators = [power((2,), n) for n in range(4)]
-    s2 = commuting_conjugates_folner(enumeration, conjugators, 2, ctx)
+    s2 = folner_set([conjugate(power((2,), 2), power((1,), k)) for k in range(3)], ctx)
     assert s2.size == 3  # {b^2 a^k b^-2}
     d = inner_folner_defect(s2, (1,), ctx)
     assert d == brute_defect(s2.elements, (1,), ctx)
     assert d > 0
-
-
-def test_stage_validation():
-    ctx = free_context(2)
-    with pytest.raises(InputError):
-        commuting_conjugates_folner([(1,)], [(2,)], 1, ctx)  # not enough elements
-    with pytest.raises(InputError):
-        commuting_conjugates_folner([(1,), (1, 1)], [(2,)], 1, ctx)  # not enough conjugators
-    with pytest.raises(InputError):
-        commuting_conjugates_folner([(1,)], [(2,)], -1, ctx)
 
 
 def test_sequence_report_flags_non_growth():

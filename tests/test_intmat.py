@@ -18,6 +18,11 @@ from chainlab.intmat import (
 )
 
 
+def matrix(rows) -> IntMatrix:
+    """The matrix with the given nonempty list of rows."""
+    return IntMatrix(len(rows), len(rows[0]), [list(r) for r in rows])
+
+
 def minors_gcd(m: IntMatrix, k: int) -> int:
     """gcd of all k x k minors (0 when every minor vanishes) -- oracle."""
     g = 0
@@ -83,17 +88,17 @@ def check_against_minor_oracle(m: IntMatrix) -> None:
 
 
 def test_snf_frozen_examples():
-    assert smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]])).invariant_factors == (1, 6)
-    assert smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]])).invariant_factors == (2, 4)
-    assert smith_normal_form(IntMatrix.zeros(3, 2)).invariant_factors == ()
-    assert smith_normal_form(IntMatrix.from_rows([[5]])).invariant_factors == (5,)
-    assert smith_normal_form(IntMatrix.from_rows([[0, 1], [-1, 0]])).invariant_factors == (1, 1)
+    assert smith_normal_form(matrix([[2, 0], [0, 3]])).invariant_factors == (1, 6)
+    assert smith_normal_form(matrix([[2, 4], [6, 8]])).invariant_factors == (2, 4)
+    assert smith_normal_form(IntMatrix(3, 2)).invariant_factors == ()
+    assert smith_normal_form(matrix([[5]])).invariant_factors == (5,)
+    assert smith_normal_form(matrix([[0, 1], [-1, 0]])).invariant_factors == (1, 1)
 
 
 def test_snf_empty_shapes():
-    assert smith_normal_form(IntMatrix.zeros(0, 4)).invariant_factors == ()
-    assert smith_normal_form(IntMatrix.zeros(4, 0)).invariant_factors == ()
-    res = smith_normal_form(IntMatrix.zeros(0, 0), transforms=True)
+    assert smith_normal_form(IntMatrix(0, 4)).invariant_factors == ()
+    assert smith_normal_form(IntMatrix(4, 0)).invariant_factors == ()
+    res = smith_normal_form(IntMatrix(0, 0), transforms=True)
     assert res.invariant_factors == () and res.transforms_checked
 
 
@@ -102,12 +107,12 @@ def test_snf_random_against_minor_oracle():
     for _ in range(60):
         r = rng.randint(1, 4)
         c = rng.randint(1, 4)
-        m = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)])
+        m = matrix([[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)])
         check_against_minor_oracle(m)
 
 
 def test_snf_negative_and_growth():
-    m = IntMatrix.from_rows([[-4, 6, 2], [6, -9, -3], [10, 4, 18]])
+    m = matrix([[-4, 6, 2], [6, -9, -3], [10, 4, 18]])
     res = smith_normal_form(m, transforms=True)
     assert res.transforms_checked
     check_against_minor_oracle(m)
@@ -118,30 +123,30 @@ def test_rank_functions_agree():
     for _ in range(40):
         r = rng.randint(1, 5)
         c = rng.randint(1, 5)
-        m = IntMatrix.from_rows([[rng.randint(-6, 6) for _ in range(c)] for _ in range(r)])
+        m = matrix([[rng.randint(-6, 6) for _ in range(c)] for _ in range(r)])
         assert rank_over_q(m) == rank_oracle(m)
         assert rank_over_q(m) == smith_normal_form(m).rank
 
 
 def test_rank_mod_p():
-    m = IntMatrix.from_rows([[2, 4], [6, 8]])  # invariant factors (2, 4)
+    m = matrix([[2, 4], [6, 8]])  # invariant factors (2, 4)
     assert rank_mod_p(m, 2) == 0
     assert rank_mod_p(m, 3) == 2
-    assert rank_mod_p(IntMatrix.from_rows([[3, 0], [0, 5]]), 3) == 1
-    assert rank_mod_p(IntMatrix.from_rows([[3, 0], [0, 5]]), 5) == 1
+    assert rank_mod_p(matrix([[3, 0], [0, 5]]), 3) == 1
+    assert rank_mod_p(matrix([[3, 0], [0, 5]]), 5) == 1
     with pytest.raises(ValueError):
         rank_mod_p(m, 1)
 
 
 def test_matmul_and_shapes():
-    a = IntMatrix.from_rows([[1, 2], [3, 4]])
-    b = IntMatrix.from_rows([[0, 1], [1, 0]])
+    a = matrix([[1, 2], [3, 4]])
+    b = matrix([[0, 1], [1, 0]])
     assert (a @ b).data == [[2, 1], [4, 3]]
     assert (a @ IntMatrix.identity(2)) == a
-    empty = IntMatrix.zeros(2, 0)
-    assert (empty @ IntMatrix.zeros(0, 3)).data == [[0, 0, 0], [0, 0, 0]]
+    empty = IntMatrix(2, 0)
+    assert (empty @ IntMatrix(0, 3)).data == [[0, 0, 0], [0, 0, 0]]
     with pytest.raises(ValueError):
-        a @ IntMatrix.zeros(3, 1)
+        a @ IntMatrix(3, 1)
 
 
 def test_lattice_basis_membership_and_residue():
@@ -181,7 +186,7 @@ def test_lattice_membership_and_saturation():
 
 def test_solve_integer():
     def solve(rows, v):
-        return Lattice(len(rows), IntMatrix.from_rows(rows).transpose().data).solve(v)
+        return Lattice(len(rows), matrix(rows).transpose().data).solve(v)
 
     assert solve([[1, 0], [0, 2]], [3, 4]) == [3, 2]
     assert solve([[1, 0], [0, 2]], [3, 3]) is None
@@ -189,7 +194,7 @@ def test_solve_integer():
     u = solve([[2, 3]], [1])
     assert u is not None and 2 * u[0] + 3 * u[1] == 1
     # one lattice answers every right-hand side
-    a = IntMatrix.from_rows([[2, 4, 0], [0, 6, 3]])
+    a = matrix([[2, 4, 0], [0, 6, 3]])
     lat = Lattice(2, a.transpose().data)
     for v in ([2, 3], [0, 0], [4, -9], [6, 6]):
         u = lat.solve(v)

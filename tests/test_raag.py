@@ -17,7 +17,6 @@ from chainlab.raag import (
     braiding_relator,
     chain_commuting_report,
     chain_commuting_sequence,
-    commuting_vertex_walk,
     cone_vertices,
     dihedral_central_element,
     emit_qnormal_chain,
@@ -83,22 +82,28 @@ class TestInnerAmenability:
 
 
 class TestCommutingWalks:
+    """The depth-first walk, read off the generators of the chain-commuting sequence."""
+
+    @staticmethod
+    def walk(g, start=1):
+        return tuple(v for (v,) in chain_commuting_sequence(g, start).elements)
+
     def test_cycle4_walk(self):
-        assert commuting_vertex_walk(cycle4()) == (1, 2, 3, 4)
+        assert self.walk(cycle4()) == (1, 2, 3, 4)
 
     def test_path3_walk(self):
-        assert commuting_vertex_walk(path3()) == (1, 2, 3)
+        assert self.walk(path3()) == (1, 2, 3)
 
     def test_star_walk_backtracks_through_center(self):
-        assert commuting_vertex_walk(star4()) == (1, 2, 1, 3, 1, 4)
+        assert self.walk(star4()) == (1, 2, 1, 3, 1, 4)
 
     def test_walk_consecutive_entries_adjacent(self):
         g = cycle4()
-        w = commuting_vertex_walk(g)
+        w = self.walk(g)
         assert all(g.adjacent(w[i], w[i + 1]) for i in range(len(w) - 1))
 
     def test_single_vertex_walk(self):
-        assert commuting_vertex_walk(raag_graph(1, [])) == (1,)
+        assert self.walk(raag_graph(1, [])) == (1,)
 
     def test_sequence_leaves_the_connectivity_check_to_the_walk(self, monkeypatch):
         def no_second_check(self):
@@ -108,30 +113,30 @@ class TestCommutingWalks:
         assert chain_commuting_sequence(raag_graph(3, [(1, 2)])) is None
         assert chain_commuting_sequence(cycle4()).elements[0] == (1,)
         assert artin_chain_commuting(artin_graph(3, {(1, 2): 3})) is None
-        with pytest.raises(InputError):
-            commuting_vertex_walk(raag_graph(3, [(1, 2)]))
 
     def test_disconnected_walk_raises(self):
-        with pytest.raises(InputError):
-            commuting_vertex_walk(raag_graph(2, []))
+        assert chain_commuting_sequence(raag_graph(2, [])) is None
+        with pytest.raises(InputError):  # the start is checked before connectivity
+            chain_commuting_sequence(raag_graph(2, []), start=3)
 
     def test_bad_start_raises(self):
         with pytest.raises(InputError):
-            commuting_vertex_walk(path3(), start=5)
+            chain_commuting_sequence(path3(), start=5)
 
 
 class TestChainCommutingSequences:
     def test_cycle4_sequence(self):
         seq = chain_commuting_sequence(cycle4())
         assert seq.elements == ((1,), (2,), (3,), (4,))
-        assert seq.all_machine_verified
+        assert all(p.machine_verified for p in seq.proofs)
         assert all(p.kind == "normal-form" for p in seq.proofs)
         assert all(c.proven for c in seq.order_certificates)
 
     def test_path3_sequence(self):
         seq = chain_commuting_sequence(path3())
         assert seq.elements == ((1,), (2,), (3,))
-        assert seq.all_machine_verified
+        assert all(p.machine_verified for p in seq.proofs)
+        assert all(c.proven for c in seq.order_certificates)
 
     def test_disconnected_returns_none(self):
         assert chain_commuting_sequence(raag_graph(2, [])) is None
@@ -320,8 +325,8 @@ class TestArtinChains:
         ag = artin_graph(3, {(1, 2): 2, (2, 3): 2})
         seq = artin_chain_commuting(ag)
         assert seq.elements == ((1,), (1, 2, 1, 2), (2,), (2, 3, 2, 3), (3,))
-        assert seq.all_machine_verified
-        assert all(p.kind == "normal-form" for p in seq.proofs)
+        assert all(p.kind == "normal-form" and p.machine_verified for p in seq.proofs)
+        assert all(c.proven for c in seq.order_certificates)
 
     def test_label_three_uses_cited_facts(self):
         ag = artin_graph(2, {(1, 2): 3})
@@ -330,7 +335,6 @@ class TestArtinChains:
         assert all(p.kind == "cited-fact" and not p.machine_verified for p in seq.proofs)
         # infinite orders still certified through the abelianization
         assert all(c.proven for c in seq.order_certificates)
-        assert not seq.all_machine_verified
 
     def test_mixed_labels(self):
         ag = artin_graph(3, {(1, 2): 2, (2, 3): 5})

@@ -81,15 +81,15 @@ class TestChainData:
         c = CWChainData(
             alpha=2,
             cell_counts=(1, 2, 1),
-            boundaries=(IntMatrix.zeros(1, 2), IntMatrix.zeros(2, 1)),
+            boundaries=(IntMatrix(1, 2), IntMatrix(2, 1)),
         )
         assert c.boundary(2).is_zero()
 
     def test_shape_validation(self):
         with pytest.raises(InputError):
-            CWChainData(alpha=1, cell_counts=(2, 2), boundaries=(IntMatrix.zeros(3, 2),))
+            CWChainData(alpha=1, cell_counts=(2, 2), boundaries=(IntMatrix(3, 2),))
         with pytest.raises(InputError):
-            CWChainData(alpha=1, cell_counts=(2,), boundaries=(IntMatrix.zeros(2, 2),))
+            CWChainData(alpha=1, cell_counts=(2,), boundaries=(IntMatrix(2, 2),))
 
 
 class TestValidation:
@@ -123,7 +123,7 @@ class TestValidation:
             RebuildingData(
                 Y=d.Y,
                 Yprime=d.Yprime,
-                g_maps=(d.g_maps[0], IntMatrix.zeros(2, 4)),
+                g_maps=(d.g_maps[0], IntMatrix(2, 4)),
                 h_maps=d.h_maps,
                 rho_maps=d.rho_maps,
             )
@@ -184,7 +184,7 @@ class TestOperatorNorm:
     def test_oracles(self):
         assert operator_norm(IntMatrix(2, 2, [[3, 4], [0, 0]])) == pytest.approx(5.0, abs=1e-9)
         assert operator_norm(IntMatrix.identity(4)) == pytest.approx(1.0, abs=1e-9)
-        assert operator_norm(IntMatrix.zeros(3, 2)) == 0.0
+        assert operator_norm(IntMatrix(3, 2)) == 0.0
         perm = IntMatrix(3, 3, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
         assert operator_norm(perm) == pytest.approx(1.0, abs=1e-9)
 
@@ -296,13 +296,13 @@ class TestQuality:
     def test_minimal_kappa_infinite_when_big_side_empty(self):
         # valid rebuilding whose big complex has no 1-cells while the small
         # one keeps its 1-cell: no kappa can satisfy the cell bound
-        big = CWChainData(alpha=1, cell_counts=(1, 0), boundaries=(IntMatrix.zeros(1, 0),))
+        big = CWChainData(alpha=1, cell_counts=(1, 0), boundaries=(IntMatrix(1, 0),))
         d = RebuildingData(
             Y=big,
             Yprime=circle_complex(),
-            g_maps=(IntMatrix.identity(1), IntMatrix.zeros(1, 0)),
-            h_maps=(IntMatrix.identity(1), IntMatrix.zeros(0, 1)),
-            rho_maps=(IntMatrix.zeros(0, 1),),
+            g_maps=(IntMatrix.identity(1), IntMatrix(1, 0)),
+            h_maps=(IntMatrix.identity(1), IntMatrix(0, 1)),
+            rho_maps=(IntMatrix(0, 1),),
         )
         assert validate_rebuilding(d).all_pass
         assert minimal_kappa(d, T=2.0) == float("inf")
