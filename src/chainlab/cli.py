@@ -1,15 +1,17 @@
 """Command-line surface: JSON/CSV file I/O, run manifests, persisted reports.
 
-Every run writes its reports into an output directory together with a
-manifest recording the command, inputs, parameters, tool version, and
+Each command reads one input file, with job fields read through ``field``,
+and returns its exit code, its manifest parameters and its reports.  ``main``
+then writes the reports into the output directory, followed by a manifest
+recording the command, arguments, input path, parameters, tool version and
 timestamp.  Reports reference the manifest by name and contain no clock
 data themselves, so identical inputs produce byte-identical reports.
 
 Exit codes: 0 success, 2 malformed or unsupported input, 3 a bounded
 enumeration or search gave up or a chain level's index exceeds the budget,
-4 a certificate or audit definitively failed.
+4 a certificate or audit definitively failed.  A run that exits 2 or 3
+writes nothing; a failed certificate or audit still writes its report.
 """
-
 from __future__ import annotations
 
 import argparse
@@ -17,11 +19,10 @@ import datetime
 import itertools
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import index, itemgetter
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import __version__
 from .contexts import InfiniteOrderCertificate, context_for
@@ -89,72 +90,73 @@ def load_json(path: str) -> dict:
     return data
 
 
-def presentation_from_dict(d: dict) -> Presentation:
+_REQUIRED = object()
+
+
+def field(d: dict, key: str, parse: Callable, default=_REQUIRED):
+    """parse(d[key]); the default when the key is absent and one is given.
+
+    A parse checks the value and returns it (a list as a tuple); it never
+    converts it with a constructor such as ``dict(...)``.  Its TypeError or
+    ValueError, an InputError included, becomes an InputError naming the field.
+    """
+    if key not in d:
+        if default is _REQUIRED:
+            raise InputError(f"missing field {key!r}")
+        return default
     try:
-        return Presentation(
-            tuple(str(n) for n in d["generators"]),
-            tuple(word(r) for r in d.get("relators", [])),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed group data: {exc}") from None
+        return parse(d[key])
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"field {key!r}: {exc}") from None
+
+
+def _instance_of(kind: type, what: str) -> Callable:
+    def parse(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"expected {what}, got {value!r}")
+        return value
+
+    return parse
+
+
+def list_of(parse: Callable) -> Callable:
+    """The parse of a JSON list whose items each pass ``parse``; it returns a tuple."""
+    return lambda value: tuple(map(parse, json_list(value)))
+
+
+json_object = _instance_of(dict, "a JSON object")
+json_list = _instance_of(list, "a JSON list")
+words = list_of(word)
+strings = list_of(_instance_of(str, "a string"))
+
+
+def _edge(value) -> tuple[int, int]:
+    i, j = json_list(value)
+    return index(i), index(j)
+
+
+def presentation_from_dict(d: dict) -> Presentation:
+    return Presentation(field(d, "generators", strings), field(d, "relators", words, ()))
 
 
 def raag_from_dict(d: dict) -> tuple[RaagGraph, tuple[str, ...]]:
-    try:
-        n = index(d["vertices"])
-        g = RaagGraph(n, frozenset((index(i), index(j)) for i, j in d.get("edges", [])))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed graph data: {exc}") from None
-    names = d.get("names", default_names(n))
-    if not isinstance(names, (list, tuple)):
-        raise InputError(f"field 'names' must be a list, got {names!r}")
-    names = tuple(str(x) for x in names)
+    n = field(d, "vertices", index)
+    g = RaagGraph(n, frozenset(field(d, "edges", list_of(_edge), ())))
+    names = field(d, "names", strings, default_names(n))
     if len(names) != n:
         raise InputError("need exactly one name per vertex")
     return g, names
 
 
-def job_object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise InputError(f"{what} must be a JSON object, got {value!r}")
-    return value
-
-
-def integer_field(d: dict, key: str, default: Optional[int] = None) -> int:
-    """d[key] as an int; the default when the key is absent and one is given."""
-    if key not in d:
-        if default is None:
-            raise InputError(f"missing field {key!r}")
-        return default
-    try:
-        return index(d[key])
-    except TypeError:
-        raise InputError(f"field {key!r} must be an integer, got {d[key]!r}") from None
-
-
-def connector_from_dict(c) -> Connector:
-    c = job_object(c, "a connector")
-    try:
-        return Connector(
-            outer_label=integer_field(c, "outer_label"),
-            g_f=word(c["g_f"]),
-            witness=word(c["witness"]),
-            witness_in_subgroup=word(c["witness_in_subgroup"]),
-            witness_in_conjugate=word(c["witness_in_conjugate"]),
-        )
-    except KeyError as exc:
-        raise InputError(f"a connector is missing field {exc}") from None
-
-
-def words_field(d: dict, key: str, required: bool = True) -> Optional[tuple[Word, ...]]:
-    if key not in d:
-        if required:
-            raise InputError(f"missing field {key!r}")
-        return None
-    try:
-        return tuple(word(w) for w in d[key])
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"malformed words in field {key!r}: {exc}") from None
+def connector(value) -> Connector:
+    c = json_object(value)
+    return Connector(
+        outer_label=field(c, "outer_label", index),
+        g_f=field(c, "g_f", word),
+        witness=field(c, "witness", word),
+        witness_in_subgroup=field(c, "witness_in_subgroup", word),
+        witness_in_conjugate=field(c, "witness_in_conjugate", word),
+    )
 
 
 def parse_element(token: str, names: Sequence[str]) -> Word:
@@ -303,69 +305,29 @@ def _encode(o, newline: str, out: list) -> None:
 # ------------------------------------------------------------- run manifests
 
 
-@dataclass
-class RunManifest:
-    """What produced a batch of reports: command, inputs, parameters, version.
+def write_run(args: argparse.Namespace, argv: Sequence[str], parameters: dict, reports: dict) -> None:
+    """Write each report into --out, then the manifest that names them.
 
-    The timestamp lives only here; reports reference the manifest by file
-    name, keeping them byte-identical across reruns of the same inputs.
+    A report is a payload dict, written as JSON that references the manifest
+    by file name, or CSV text.  The timestamp lives only in the manifest, so
+    the reports stay byte-identical across reruns of the same inputs.
     """
-
-    command: str
-    argv: tuple[str, ...]
-    inputs: tuple[str, ...]
-    parameters: dict
-    tool_version: str
-    timestamp: str
-    outputs: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "argv": list(self.argv),
-            "inputs": list(self.inputs),
-            "parameters": self.parameters,
-            "tool_version": self.tool_version,
-            "timestamp": self.timestamp,
-            "outputs": list(self.outputs),
-        }
-
-
-class Run:
-    """One command invocation: an output directory plus its manifest."""
-
-    def __init__(self, command: str, argv: Sequence[str], out: str, inputs: Sequence[str], parameters: dict):
-        self.dir = Path(out)
-        self.dir.mkdir(parents=True, exist_ok=True)
-        self.manifest = RunManifest(
-            command=command,
-            argv=tuple(argv),
-            inputs=tuple(inputs),
-            parameters=parameters,
-            tool_version=__version__,
-            timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
-        )
-
-    def write_json(self, name: str, payload: dict) -> Path:
-        body = {"manifest": MANIFEST_NAME}
-        body.update(payload)
-        path = self.dir / name
-        path.write_text(report_json(body) + "\n", encoding="utf-8")
-        self.manifest.outputs.append(name)
-        return path
-
-    def write_text(self, name: str, text: str) -> Path:
-        path = self.dir / name
-        path.write_text(text, encoding="utf-8")
-        self.manifest.outputs.append(name)
-        return path
-
-    def finish(self) -> None:
-        self.manifest.outputs.sort()
-        path = self.dir / MANIFEST_NAME
-        path.write_text(
-            json.dumps(self.manifest.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, report in reports.items():
+        if isinstance(report, dict):
+            report = report_json({"manifest": MANIFEST_NAME, **report}) + "\n"
+        (out / name).write_text(report, encoding="utf-8")
+    manifest = {
+        "command": " ".join(filter(None, (args.command, getattr(args, "verb", None)))),
+        "argv": list(argv),
+        "inputs": [args.input],
+        "parameters": parameters,
+        "tool_version": __version__,
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+        "outputs": sorted(reports),
+    }
+    (out / MANIFEST_NAME).write_text(report_json(manifest) + "\n", encoding="utf-8")
 
 
 # --------------------------------------------------------- report serializers
@@ -410,112 +372,78 @@ def chain_report_dict(rep: ChainReport) -> dict:
 
 
 # ------------------------------------------------------------------ commands
+#
+# Each command returns (exit code, manifest parameters, {file name: report});
+# main writes the reports and the manifest once the command has returned.
 
 
-def cmd_homology(args: argparse.Namespace, argv: Sequence[str]) -> int:
+def cmd_homology(args: argparse.Namespace) -> tuple[int, dict, dict]:
     try:
         primes = [int(t) for t in args.primes.split(",") if t]
     except ValueError:
         raise InputError(f"--primes must be comma-separated integers, got {args.primes!r}") from None
     check_primes(primes)
-    p = presentation_from_dict(load_json(args.group))
+    p = presentation_from_dict(load_json(args.input))
     chain = parse_chain_spec(args.chain, p, max_cosets=args.budget)
-    run = Run(
-        "homology",
-        argv,
-        args.out,
-        [args.group],
-        {"chain": args.chain, "primes": primes, "budget": args.budget},
-    )
-    kinds: list[tuple[str, Optional[int]]] = [("betti_q", None)]
-    kinds += [("betti_fp", q) for q in primes]
-    kinds.append(("log_torsion", None))
     summaries = chain_homology(chain, primes)
-    for kind, prime in kinds:
+    reports: dict = {}
+    for kind, prime in [("betti_q", None), *(("betti_fp", q) for q in primes), ("log_torsion", None)]:
         series = gradient_series(chain, kind=kind, prime=prime, summaries=summaries)
         stem = series.kind.replace("[", "_").replace("]", "")
-        run.write_text(f"{stem}.csv", series_to_csv(series))
-        run.write_json(f"{stem}.json", series_to_json_dict(series))
-    run.finish()
-    return 0
+        reports[f"{stem}.csv"] = series_to_csv(series)
+        reports[f"{stem}.json"] = series_to_json_dict(series)
+    return 0, {"chain": args.chain, "primes": primes, "budget": args.budget}, reports
 
 
-def cmd_qnormal_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    data = load_json(args.certificate)
-    run = Run("qnormal verify", argv, args.out, [args.certificate], {})
+def cmd_qnormal_verify(args: argparse.Namespace) -> tuple[int, dict, dict]:
+    data = load_json(args.input)
     if "steps" in data:
         cert = chain_from_dict(data)
         report = verify_chain(cert, exact_chain_contexts(cert))
-        run.write_json("verify_report.json", {"kind": "chain", **chain_report_dict(report)})
-        run.finish()
-        status = report.status
+        payload = {"kind": "chain", **chain_report_dict(report)}
     elif "witnesses" in data:
         ws = witness_set_from_dict(data)
         report = verify_qnormal(ws, context_for(ws.ambient))
-        run.write_json("verify_report.json", {"kind": "witness-set", **qnormal_report_dict(report)})
-        run.finish()
-        status = report.status
+        payload = {"kind": "witness-set", **qnormal_report_dict(report)}
     else:
         raise InputError("the certificate file has neither 'steps' nor 'witnesses'")
-    if status is QNormalStatus.FAILED:
+    code = 0
+    if report.status is QNormalStatus.FAILED:
         print("certificate FAILED (see verify_report.json)", file=sys.stderr)
-        return 4
-    return 0
+        code = 4
+    return code, {}, {"verify_report.json": payload}
 
 
-def _graph_from_job(job: dict, budget: int, radius: int) -> tuple[Presentation, CosetGraph]:
-    job = job_object(job, "a graph job")
-    if "group" not in job:
-        raise InputError("missing field 'group'")
-    p = presentation_from_dict(job_object(job["group"], "field 'group'"))
+def _graph_from_job(job: dict, args: argparse.Namespace) -> tuple[Presentation, CosetGraph]:
+    p = presentation_from_dict(field(job, "group", json_object))
     graph = build_coset_graph(
         p,
-        words_field(job, "subgroup"),
-        words_field(job, "generating_set"),
-        budget=integer_field(job, "budget", budget),
-        radius=integer_field(job, "radius", radius),
-        witnesses=words_field(job, "witnesses", required=False),
+        field(job, "subgroup", words),
+        field(job, "generating_set", words),
+        budget=field(job, "budget", index, args.budget),
+        radius=field(job, "radius", index, args.radius),
+        witnesses=field(job, "witnesses", words, None),
     )
     return p, graph
 
 
-def cmd_qnormal_graph(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    job = load_json(args.job)
-    run = Run(
-        "qnormal graph",
-        argv,
-        args.out,
-        [args.job],
-        {"budget": args.budget, "radius": args.radius},
-    )
-    _, graph = _graph_from_job(job, args.budget, args.radius)
+def cmd_qnormal_graph(args: argparse.Namespace) -> tuple[int, dict, dict]:
+    _, graph = _graph_from_job(load_json(args.input), args)
     payload = graph_to_dict(graph)
     payload["is_connected"] = graph.is_connected()
     if graph.witnesses is not None:
         payload["stabilizer_witnesses_verified"] = list(graph.check_stabilizer_witnesses())
-    run.write_json("graph.json", payload)
-    run.finish()
-    return 0
+    return 0, {"budget": args.budget, "radius": args.radius}, {"graph.json": payload}
 
 
-def cmd_qnormal_blowup(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    job = load_json(args.job)
-    run = Run(
-        "qnormal blowup",
-        argv,
-        args.out,
-        [args.job],
-        {"budget": args.budget, "radius": args.radius},
-    )
-    if "outer" not in job or "inner" not in job:
-        raise InputError("a blow-up job needs 'outer' and 'inner' graph jobs")
-    p, outer = _graph_from_job(job["outer"], args.budget, args.radius)
-    _, inner = _graph_from_job(job["inner"], args.budget, args.radius)
-    subgroup_words = words_field(job, "subgroup_words")
-    connectors = job.get("connectors", [])
-    if not isinstance(connectors, list):
-        raise InputError(f"field 'connectors' must be a list, got {connectors!r}")
-    connectors = tuple(connector_from_dict(c) for c in connectors)
+def cmd_qnormal_blowup(args: argparse.Namespace) -> tuple[int, dict, dict]:
+    job = load_json(args.input)
+    outer_job = field(job, "outer", json_object)
+    inner_job = field(job, "inner", json_object)
+    p, outer = _graph_from_job(outer_job, args)
+    _, inner = _graph_from_job(inner_job, args)
+    subgroup_words = field(job, "subgroup_words", words)
+    connectors = field(job, "connectors", list_of(connector), ())
     # the rewriter decomposes ambient words into letters of the outer
     # subgroup, whose generators are the outer graph's subgroup words
     rewriter = infer_solver(p, outer.subgroup_words)
@@ -542,8 +470,8 @@ def cmd_qnormal_blowup(args: argparse.Namespace, argv: Sequence[str]) -> int:
         "vertex_count_identity": blown.vertex_count_identity(),
     }
     if "direct" in job:
-        direct_job = {"group": job["outer"]["group"], **job_object(job["direct"], "field 'direct'")}
-        _, direct = _graph_from_job(direct_job, args.budget, args.radius)
+        direct_job = {"group": outer_job["group"], **field(job, "direct", json_object)}
+        _, direct = _graph_from_job(direct_job, args)
         comparison = compare_blowup_with_direct(blown, direct)
         payload["comparison"] = {
             "common_vertices": comparison.common_vertices,
@@ -551,22 +479,13 @@ def cmd_qnormal_blowup(args: argparse.Namespace, argv: Sequence[str]) -> int:
             "only_in_blowup": len(comparison.only_in_first),
             "only_in_direct": len(comparison.only_in_second),
         }
-    run.write_json("blowup.json", payload)
-    run.finish()
-    return 0
+    return 0, {"budget": args.budget, "radius": args.radius}, {"blowup.json": payload}
 
 
-def cmd_qnormal_trim(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    job = load_json(args.job)
-    run = Run(
-        "qnormal trim",
-        argv,
-        args.out,
-        [args.job],
-        {"budget": args.budget, "radius": args.radius, "bound": args.bound},
-    )
-    p, graph = _graph_from_job(job, args.budget, args.radius)
-    generators = words_field(job, "generators")
+def cmd_qnormal_trim(args: argparse.Namespace) -> tuple[int, dict, dict]:
+    job = load_json(args.input)
+    p, graph = _graph_from_job(job, args)
+    generators = field(job, "generators", words)
     ctx = context_for(p)
     if not ctx.decides_equality:
         raise UndecidableContextError(
@@ -578,21 +497,19 @@ def cmd_qnormal_trim(args: argparse.Namespace, argv: Sequence[str]) -> int:
         "dropped_orbits": [o for o in graph.edge_orbits() if o not in kept],
         "graph": graph_to_dict(trimmed),
     }
-    run.write_json("trim.json", payload)
-    run.finish()
-    return 0
+    return 0, {"budget": args.budget, "radius": args.radius, "bound": args.bound}, {"trim.json": payload}
 
 
-def cmd_raag(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    g, names = raag_from_dict(load_json(args.graph))
-    run = Run("raag analyze", argv, args.out, [args.graph], {})
+def cmd_raag(args: argparse.Namespace) -> tuple[int, dict, dict]:
+    g, names = raag_from_dict(load_json(args.input))
     ia = is_inner_amenable_raag(g)
     cc = chain_commuting_report(g)
+    reports = {}
     cert_path = None
     if cc.certificate is not None:
         cert_path = "chain_certificate.json"
-        run.write_json(cert_path, chain_to_dict(cc.certificate))
-    payload = {
+        reports[cert_path] = chain_to_dict(cc.certificate)
+    reports["raag_report.json"] = {
         "vertices": g.vertex_count,
         "names": list(names),
         "inner_amenable": ia.inner_amenable,
@@ -606,13 +523,11 @@ def cmd_raag(args: argparse.Namespace, argv: Sequence[str]) -> int:
         "sequence": [format_word(e, names) for e in cc.sequence.elements] if cc.sequence else None,
         "chain_certificate_path": cert_path,
     }
-    run.write_json("raag_report.json", payload)
-    run.finish()
-    return 0
+    return 0, {}, reports
 
 
-def cmd_farber(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    p = presentation_from_dict(load_json(args.group))
+def cmd_farber(args: argparse.Namespace) -> tuple[int, dict, dict]:
+    p = presentation_from_dict(load_json(args.input))
     chain = parse_chain_spec(args.chain, p, max_cosets=args.budget)
     gammas = [parse_element(tok, p.generator_names) for tok in args.gammas.split(",") if tok.strip()]
     if not gammas:
@@ -621,13 +536,6 @@ def cmd_farber(args: argparse.Namespace, argv: Sequence[str]) -> int:
         eps = Fraction(args.eps)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot parse eps {args.eps!r}: {exc}") from None
-    run = Run(
-        "farber",
-        argv,
-        args.out,
-        [args.group],
-        {"chain": args.chain, "gammas": args.gammas, "eps": str(eps), "budget": args.budget},
-    )
     report = farber_prefix_check(chain, gammas, eps, context_for(p))
     lines = ["gamma,level,index,fx"]
     for gi, gamma in enumerate(report.gammas):
@@ -636,34 +544,24 @@ def cmd_farber(args: argparse.Namespace, argv: Sequence[str]) -> int:
                 f"{format_word(gamma, p.generator_names)},{label},"
                 f"{report.indices[li]},{report.values[gi][li]}"
             )
-    run.write_text("farber.csv", "\n".join(lines) + "\n")
-    run.write_json(
-        "farber.json",
-        {
-            "gammas": [format_word(g, p.generator_names) for g in report.gammas],
-            "levels": list(chain.labels),
-            "indices": list(report.indices),
-            "values": [[str(v) for v in row] for row in report.values],
-            "eps": str(report.eps),
-            "passed": report.passed,
-            "evidence": report.evidence,
-        },
-    )
-    run.finish()
-    return 0
+    payload = {
+        "gammas": [format_word(g, p.generator_names) for g in report.gammas],
+        "levels": list(chain.labels),
+        "indices": list(report.indices),
+        "values": [[str(v) for v in row] for row in report.values],
+        "eps": str(report.eps),
+        "passed": report.passed,
+        "evidence": report.evidence,
+    }
+    parameters = {"chain": args.chain, "gammas": args.gammas, "eps": str(eps), "budget": args.budget}
+    return 0, parameters, {"farber.csv": "\n".join(lines) + "\n", "farber.json": payload}
 
 
-def cmd_rebuild(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    data = rebuilding_from_dict(load_json(args.data))
+def cmd_rebuild(args: argparse.Namespace) -> tuple[int, dict, dict]:
+    data = rebuilding_from_dict(load_json(args.input))
     if args.T < 1:
         raise InputError("T must be at least 1")
-    run = Run(
-        "rebuild check",
-        argv,
-        args.out,
-        [args.data],
-        {"T": args.T, "kappa": args.kappa},
-    )
+    parameters = {"T": args.T, "kappa": args.kappa}
     validation = validate_rebuilding(data)
     payload: dict = {
         "validation": {
@@ -672,32 +570,36 @@ def cmd_rebuild(args: argparse.Namespace, argv: Sequence[str]) -> int:
         }
     }
     if not validation.all_pass:
-        run.write_json("rebuild_report.json", payload)
-        run.finish()
         print(
             "rebuilding data failed exact validation: " + ", ".join(validation.failures()),
             file=sys.stderr,
         )
-        return 4
+        return 4, parameters, {"rebuild_report.json": payload}
     if args.kappa is not None:
         quality = quality_check(data, T=args.T, kappa=args.kappa)
         payload["quality"] = quality_report_to_dict(quality)
     else:
         payload["T"] = args.T
         payload["minimal_kappa"] = _jsonable(minimal_kappa(data, T=args.T))
-    run.write_json("rebuild_report.json", payload)
-    run.finish()
-    return 0
+    return 0, parameters, {"rebuild_report.json": payload}
 
 
 # -------------------------------------------------------------------- parser
 
+_BUDGET = dict(type=int, default=DEFAULT_BUDGET,
+               help="coset cap: cosets one enumeration may define, or the index of a chain level")
+_RADIUS = dict(type=int, default=DEFAULT_RADIUS, help="ball radius for truncated graphs")
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
+
+def _command(
+    sub, name: str, func: Callable, summary: str, metavar: str, input_help: str
+) -> argparse.ArgumentParser:
+    """A subcommand that reads one input file and writes into --out."""
+    sp = sub.add_parser(name, help=summary)
+    sp.add_argument("input", metavar=metavar, help=input_help)
     sp.add_argument("--out", default="chainlab_out", help="output directory (default: chainlab_out)")
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                    help="coset cap: cosets one enumeration may define, or the index of a chain level")
-    sp.add_argument("--radius", type=int, default=DEFAULT_RADIUS, help="ball radius for truncated graphs")
+    sp.set_defaults(func=func)
+    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -710,56 +612,47 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"chainlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("homology", help="gradient series along a subgroup chain")
-    sp.add_argument("group", help="group presentation JSON file")
+    sp = _command(sub, "homology", cmd_homology, "gradient series along a subgroup chain",
+                  "group", "group presentation JSON file")
     sp.add_argument("--chain", required=True, help="chain spec, e.g. 'abelian:n=1..5' or 'cyclic:n=2..8'")
     sp.add_argument("--primes", default="", help="comma-separated primes for mod-p Betti numbers")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_homology)
+    sp.add_argument("--budget", **_BUDGET)
 
-    qn = sub.add_parser("qnormal", help="q-normality certificates and coset graphs")
-    qsub = qn.add_subparsers(dest="verb", required=True)
-    sp = qsub.add_parser("verify", help="verify a chain certificate or witness set")
-    sp.add_argument("certificate", help="certificate JSON file")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_qnormal_verify)
-    sp = qsub.add_parser("graph", help="build a coset graph from a job file")
-    sp.add_argument("job", help="job JSON: group, subgroup, generating_set[, witnesses]")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_qnormal_graph)
-    sp = qsub.add_parser("blowup", help="compose an outer and an inner coset graph")
-    sp.add_argument("job", help="job JSON: outer, inner, subgroup_words, connectors[, direct]")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_qnormal_blowup)
-    sp = qsub.add_parser("trim", help="keep only edge orbits needed for connectedness")
-    sp.add_argument("job", help="job JSON: group, subgroup, generating_set, generators")
-    sp.add_argument("--bound", type=int, default=DEFAULT_SEARCH_BOUND, help="factorization search bound")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_qnormal_trim)
+    qsub = sub.add_parser("qnormal", help="q-normality certificates and coset graphs").add_subparsers(
+        dest="verb", required=True)
+    _command(qsub, "verify", cmd_qnormal_verify, "verify a chain certificate or witness set",
+             "certificate", "certificate JSON file")
+    for verb, func, summary, input_help in (
+        ("graph", cmd_qnormal_graph, "build a coset graph from a job file",
+         "job JSON: group, subgroup, generating_set[, witnesses]"),
+        ("blowup", cmd_qnormal_blowup, "compose an outer and an inner coset graph",
+         "job JSON: outer, inner, subgroup_words, connectors[, direct]"),
+        ("trim", cmd_qnormal_trim, "keep only edge orbits needed for connectedness",
+         "job JSON: group, subgroup, generating_set, generators"),
+    ):
+        sp = _command(qsub, verb, func, summary, "job", input_help)
+        sp.add_argument("--budget", **_BUDGET)
+        sp.add_argument("--radius", **_RADIUS)
+        if verb == "trim":
+            sp.add_argument("--bound", type=int, default=DEFAULT_SEARCH_BOUND, help="factorization search bound")
 
-    rg = sub.add_parser("raag", help="graph-group analyzers")
-    rsub = rg.add_subparsers(dest="verb", required=True)
-    sp = rsub.add_parser("analyze", help="inner amenability and chain-commuting structure")
-    sp.add_argument("graph", help="graph JSON: vertices, edges[, names]")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_raag)
+    rsub = sub.add_parser("raag", help="graph-group analyzers").add_subparsers(dest="verb", required=True)
+    _command(rsub, "analyze", cmd_raag, "inner amenability and chain-commuting structure",
+             "graph", "graph JSON: vertices, edges[, names]")
 
-    sp = sub.add_parser("farber", help="fixed-point ratio tables along a chain")
-    sp.add_argument("group", help="group presentation JSON file")
+    sp = _command(sub, "farber", cmd_farber, "fixed-point ratio tables along a chain",
+                  "group", "group presentation JSON file")
     sp.add_argument("--chain", required=True, help="chain spec, e.g. 'abelian:n=1..10'")
     sp.add_argument("--gammas", required=True, help="comma-separated elements, e.g. 'a,b,ab' or '1.2'")
     sp.add_argument("--eps", default="0", help="tolerance as an exact fraction (default 0)")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_farber)
+    sp.add_argument("--budget", **_BUDGET)
 
-    rb = sub.add_parser("rebuild", help="validate and audit chain-complex rebuildings")
-    bsub = rb.add_subparsers(dest="verb", required=True)
-    sp = bsub.add_parser("check", help="exact validation plus (T, kappa) quality bounds")
-    sp.add_argument("data", help="rebuilding data JSON file")
+    bsub = sub.add_parser("rebuild", help="validate and audit chain-complex rebuildings").add_subparsers(
+        dest="verb", required=True)
+    sp = _command(bsub, "check", cmd_rebuild, "exact validation plus (T, kappa) quality bounds",
+                  "data", "rebuilding data JSON file")
     sp.add_argument("--T", type=float, required=True, help="rebuilding scale T >= 1")
     sp.add_argument("--kappa", type=float, default=None, help="audit at this kappa; omit to report the minimum")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_rebuild)
 
     return parser
 
@@ -774,7 +667,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args, argv)
+        code, parameters, reports = args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -790,6 +683,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except VerificationFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 4
+    write_run(args, argv, parameters, reports)
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

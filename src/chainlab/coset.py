@@ -529,18 +529,14 @@ def farber_prefix_check(
     chain: SubgroupChain,
     gammas: Sequence[Sequence[int]],
     eps: Fraction,
-    ctx: Optional[WordProblemContext] = None,
+    ctx: WordProblemContext,
 ) -> FarberReport:
     """Check that fixed-point ratios of the gammas drop to <= eps at the last level."""
     checked: list[Word] = []
     for g in gammas:
         w = chain.presentation.check_word(g)
-        if ctx is not None:
-            trivial = ctx.is_trivial(w)
-            if trivial is True:
-                raise InputError(f"gamma {w} is trivial in the given context")
-        elif free_reduce(w) == ():
-            raise InputError("gamma must be a nontrivial word")
+        if ctx.is_trivial(w) is True:
+            raise InputError(f"gamma {w} is trivial in the given context")
         checked.append(w)
     values = tuple(
         tuple(fx(g, level) for level in chain.levels) for g in checked

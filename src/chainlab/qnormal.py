@@ -640,7 +640,6 @@ def build_coset_graph(
     generating_set: Sequence[Sequence[int]],
     budget: int = DEFAULT_GRAPH_BUDGET,
     radius: int = DEFAULT_RADIUS,
-    solver: Optional[CosetSolver] = None,
     witnesses: Optional[Sequence[Sequence[int]]] = None,
 ) -> CosetGraph:
     """The graph on G/L: complete if coset enumeration finishes within budget,
@@ -665,12 +664,11 @@ def build_coset_graph(
         return _complete_graph_from_table(p, subgroup_words, generating_set, table, wit)
     except BudgetExceededError:
         pass
-    if solver is None:
-        solver = infer_solver(p, subgroup_words)
+    solver = infer_solver(p, subgroup_words)
     if solver is None:
         raise UndecidableContextError(
             "coset enumeration exceeded its budget and no canonical-form solver is "
-            "available for this subgroup shape; supply a solver or raise the budget"
+            "available for this subgroup shape; raise the budget"
         )
     return _ball_graph(p, subgroup_words, generating_set, solver, radius, wit)
 
@@ -725,28 +723,17 @@ def connectedness_path(
     g: Sequence[int],
     graph: CosetGraph,
     ctx: WordProblemContext,
-    factorization: Optional[Sequence[int]] = None,
     bound: int = DEFAULT_SEARCH_BOUND,
 ) -> CosetPath:
     """The prefix-coset path from the base coset L to gL.
 
-    The factorization of g over the generating set is either supplied (signed
-    1-based indices into it) or found by bounded breadth-first search.  Every
-    consecutive vertex pair is checked to be an edge of the graph.
+    The factorization of g over the generating set (signed 1-based indices
+    into it) is found by bounded breadth-first search.  Every consecutive
+    vertex pair is checked to be an edge of the graph.
     """
     g = graph.presentation.check_word(g)
     S = graph.generating_set
-    if factorization is None:
-        factorization = _factorize(tuple(g), S, ctx, bound)
-    else:
-        factorization = tuple(int(x) for x in factorization)
-        product: tuple[int, ...] = ()
-        for signed in factorization:
-            if not (1 <= abs(signed) <= len(S)):
-                raise InputError(f"factorization letter {signed} does not index the generating set")
-            product += tuple(S[signed - 1]) if signed > 0 else inverse_word(S[-signed - 1])
-        if ctx.equal(product, g) is not EqualityVerdict.EQUAL:
-            raise InputError("the supplied factorization does not multiply to the target element")
+    factorization = _factorize(tuple(g), S, ctx, bound)
 
     prefix: tuple[int, ...] = ()
     indices = [graph.vertex_of(prefix)]

@@ -1,10 +1,15 @@
-"""Every entry point the benchmark tracer wraps still exists in the package.
+"""Every entry point the benchmark tracer wraps, and every name the
+benchmark imports, still exists in the package.
 
 ``perfbench/tracer.py`` skips an entry point it cannot find, and that
 entry's per-layer metrics then drop out of the traced result line without
-any error, so a deleted or renamed function is caught here instead.
+any error, so a deleted or renamed function is caught here instead.  A
+name that ``perfbench/`` imports from ``chainlab`` would fail only inside a
+benchmark run, so it is checked here too.
 """
 
+import ast
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -28,3 +33,18 @@ tracer = load_tracer()
 @pytest.mark.parametrize("entry", tracer.ENTRIES, ids=lambda e: f"{e.module}.{e.attr}")
 def test_traced_entry_point_exists(entry):
     assert tracer._resolve(entry.module, entry.attr) is not None
+
+
+def bench_imports():
+    """(module, name) for every ``from chainlab.<m> import <name>`` in perfbench/."""
+    found = set()
+    for path in sorted(TRACER.parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("chainlab."):
+                found.update((node.module, alias.name) for alias in node.names)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module, name", bench_imports(), ids=lambda v: v)
+def test_benchmark_import_exists(module, name):
+    assert hasattr(importlib.import_module(module), name)

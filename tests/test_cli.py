@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from chainlab.cli import _jsonable, main, parse_element, report_json
+from chainlab.coset import DEFAULT_BUDGET
 from chainlab.errors import InputError
 from chainlab.qnormal import chain_to_dict, witness_set_to_dict
 from chainlab.raag import artin_central_chain
@@ -94,6 +95,7 @@ class TestHomologyCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["homology", str(bad), "--chain", "abelian:n=1..2", "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("primes", ["4", "1", "x", "2,2"])
     def test_bad_primes_are_input_errors(self, primes, tmp_path, capsys):
@@ -110,6 +112,7 @@ class TestHomologyCommand:
             "--budget", "3", "--out", str(tmp_path / "o"),
         ])
         assert rc == 3
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("budget, code", [(49, 3), (50, 0)])
     def test_budget_caps_the_cover_index(self, budget, code, tmp_path):
@@ -166,6 +169,13 @@ class TestQnormalCommands:
         assert rc == 4
         report = read_json(out / "verify_report.json")
         assert report["status"] == "failed"
+        assert read_json(out / "manifest.json")["outputs"] == ["verify_report.json"]
+
+    def test_verify_refuses_a_file_that_is_no_certificate(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["qnormal", "verify", str(DATA / "Z.json"), "--out", str(out)]) == 2
+        assert "neither 'steps' nor 'witnesses'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_graph_job(self, tmp_path):
         out = tmp_path / "run"
@@ -186,6 +196,7 @@ class TestQnormalCommands:
         monkeypatch.setattr(coset, "DEFAULT_BUDGET", 50)
         assert main(["qnormal", "graph", str(path), "--out", str(tmp_path / "a")]) == 3
         assert "more than 50 vertices" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
         job["radius"] = 24
         path = write_json(tmp_path / "job.json", job)
         assert main(["qnormal", "graph", str(path), "--out", str(tmp_path / "b")]) == 0
@@ -208,6 +219,7 @@ class TestQnormalCommands:
         job = write_json(tmp_path / "job.json", blowup_job(group, [[1], [2, 2]], 2))
         assert main(["qnormal", "blowup", str(job), "--out", str(tmp_path / "o")]) == 2
         assert "rewriter" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_blowup_refuses_non_parabolic_outer_subgroup(self, tmp_path, capsys):
         # <a^2, b, a b a^-1> has index 2 in F2 but is not generated by letters.
@@ -237,6 +249,14 @@ class TestQnormalCommands:
         assert trim["kept_orbits"] == [0, 1]
         assert trim["dropped_orbits"] == [2]
 
+    def test_trim_without_generators_is_an_input_error(self, tmp_path, capsys):
+        job = read_json(DATA / "trim_job.json")
+        del job["generators"]
+        out = tmp_path / "run"
+        assert main(["qnormal", "trim", str(write_json(tmp_path / "job.json", job)), "--out", str(out)]) == 2
+        assert "missing field 'generators'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRaagCommand:
     def test_cycle_not_inner_amenable_but_chain_commuting(self, tmp_path):
@@ -264,6 +284,13 @@ class TestRaagCommand:
         assert report["inner_amenable"] is False
         assert report["chain_commuting"] is False
         assert report["chain_certificate_path"] is None
+        assert read_json(out / "manifest.json")["outputs"] == ["raag_report.json"]
+
+    def test_graph_without_vertices_is_an_input_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["raag", "analyze", str(DATA / "Z.json"), "--out", str(out)]) == 2
+        assert "missing field 'vertices'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFarberCommand:
@@ -285,6 +312,7 @@ class TestFarberCommand:
             "--gammas", "e", "--out", str(tmp_path / "o"),
         ])
         assert rc == 2
+        assert not (tmp_path / "o").exists()
 
     def test_freely_trivial_element_rejected_outside_graph_groups(self, tmp_path):
         group = write_json(tmp_path / "g.json", {"generators": ["a", "b"], "relators": [[2, 2]]})
@@ -371,6 +399,7 @@ class TestRebuildCommand:
         rc = main(["rebuild", "check", str(path), "--T", "8", "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "malformed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 json_scalars = (
@@ -434,9 +463,10 @@ class TestManifests:
         manifest = read_json(out / "manifest.json")
         assert manifest["command"] == "homology"
         assert manifest["inputs"] == [str(DATA / "Z.json")]
-        assert manifest["parameters"]["chain"] == "abelian:n=1..3"
+        assert manifest["parameters"] == {"chain": "abelian:n=1..3", "primes": [], "budget": DEFAULT_BUDGET}
         assert manifest["tool_version"]
         assert manifest["timestamp"]
+        assert manifest["outputs"] == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
         assert "betti_q.csv" in manifest["outputs"]
         for name in manifest["outputs"]:
             if name.endswith(".json"):
@@ -451,6 +481,22 @@ class TestManifests:
         assert names
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["raag", "analyze", "c4.json", "--radius", "3"],
+        ["qnormal", "verify", "golden_chain.json", "--budget", "5"],
+        ["rebuild", "check", "identity.json", "--T", "1", "--budget", "5"],
+        ["homology", "Z.json", "--chain", "abelian:n=1..3", "--radius", "3"],
+        ["farber", "Z.json", "--chain", "abelian:n=1..3", "--gammas", "a", "--radius", "3"],
+    ], ids=" ".join)
+    def test_options_a_command_does_not_read_are_refused(self, argv, tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+        with pytest.raises(SystemExit) as exit_:
+            main(argv + ["--out", str(out)])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cli_import_leaves_numpy_out(self):
         code = "import sys, chainlab.cli; assert 'numpy' not in sys.modules, 'numpy imported'"
@@ -533,7 +579,15 @@ def test_mutated_data_jobs_keep_the_exit_code_contract(tmp_path_factory, case):
     work = tmp_path_factory.mktemp("fuzz")
     path = write_json(work / "job.json", job)
     err = io.StringIO()
+    out = work / "out"
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = main(head + [str(path)] + tail + ["--out", str(work / "out")])
+        code = main(head + [str(path)] + tail + ["--out", str(out)])
     assert code in (0, 2, 3, 4), (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    # exit 2 or 3 writes nothing (nor does a VerificationFailure, exit 4);
+    # a run that writes lists in its manifest what it wrote
+    assert out.exists() == (code == 0) or code == 4
+    if out.exists():
+        manifest = read_json(out / "manifest.json")
+        assert manifest["outputs"] == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert manifest["inputs"] == [str(path)]

@@ -7,7 +7,7 @@ from coset_oracles import augmented_abelian_kernel, bfs_relabelled, schreier_cyc
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chainlab.contexts import exponent_counts, free_context
+from chainlab.contexts import context_for, exponent_counts, free_context
 from chainlab.coset import (
     DEFAULT_BUDGET,
     CosetTable,
@@ -297,11 +297,12 @@ def test_parse_chain_spec_rejects(spec):
 
 def test_farber_prefix_check_on_z_chain():
     chain = build_abelian_chain(Z, [2, 4, 8, 16])
-    report = farber_prefix_check(chain, [(1,) * 6], eps=Fraction(0))
+    ctx = context_for(chain.presentation)
+    report = farber_prefix_check(chain, [(1,) * 6], eps=Fraction(0), ctx=ctx)
     assert report.passed
     assert report.values == (((Fraction(1), Fraction(0), Fraction(0), Fraction(0))),)
     assert report.evidence == "finite-prefix"
-    failing = farber_prefix_check(chain, [(1,) * 16], eps=Fraction(0))
+    failing = farber_prefix_check(chain, [(1,) * 16], eps=Fraction(0), ctx=ctx)
     assert not failing.passed
     assert failing.values[0][-1] == 1
 
@@ -309,6 +310,6 @@ def test_farber_prefix_check_on_z_chain():
 def test_farber_rejects_trivial_gamma():
     chain = build_abelian_chain(Z, [2, 4])
     with pytest.raises(InputError):
-        farber_prefix_check(chain, [()], eps=Fraction(0))
+        farber_prefix_check(chain, [()], eps=Fraction(0), ctx=context_for(chain.presentation))
     with pytest.raises(InputError):
         farber_prefix_check(chain, [(1, -1)], eps=Fraction(0), ctx=free_context(1))

@@ -447,16 +447,6 @@ class TestPathsAndTrim:
         assert path.vertex_indices[0] == path.vertex_indices[1] == 0
         assert path.edges[0] == (0, 0, 0)
 
-    def test_supplied_factorization_is_checked(self):
-        g = plane_line_ball()
-        ctx = plane_context()
-        path = connectedness_path((2, 2), g, ctx, factorization=[2, 2])
-        assert path.vertices[-1] == (2, 2)
-        with pytest.raises(InputError):
-            connectedness_path((2, 2), g, ctx, factorization=[2])
-        with pytest.raises(InputError):
-            connectedness_path((2, 2), g, ctx, factorization=[5])
-
     def test_path_leaving_the_ball_reports_truncation(self):
         g = plane_line_ball()
         with pytest.raises(TruncationTooSmallError):
