@@ -18,6 +18,7 @@ import argparse
 import datetime
 import itertools
 import json
+import math
 import sys
 from fractions import Fraction
 from operator import index, itemgetter
@@ -586,6 +587,14 @@ def cmd_rebuild(args: argparse.Namespace) -> tuple[int, dict, dict]:
 
 # -------------------------------------------------------------------- parser
 
+def finite_float(text: str) -> float:
+    """An option's float; NaN and the infinities are refused (exit 2)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 _BUDGET = dict(type=int, default=DEFAULT_BUDGET,
                help="coset cap: cosets one enumeration may define, or the index of a chain level")
 _RADIUS = dict(type=int, default=DEFAULT_RADIUS, help="ball radius for truncated graphs")
@@ -651,8 +660,9 @@ def build_parser() -> argparse.ArgumentParser:
         dest="verb", required=True)
     sp = _command(bsub, "check", cmd_rebuild, "exact validation plus (T, kappa) quality bounds",
                   "data", "rebuilding data JSON file")
-    sp.add_argument("--T", type=float, required=True, help="rebuilding scale T >= 1")
-    sp.add_argument("--kappa", type=float, default=None, help="audit at this kappa; omit to report the minimum")
+    sp.add_argument("--T", type=finite_float, required=True, help="rebuilding scale T >= 1")
+    sp.add_argument("--kappa", type=finite_float, default=None,
+                    help="audit at this kappa; omit to report the minimum")
 
     return parser
 

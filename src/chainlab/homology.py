@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .coset import CosetTable, SubgroupChain
-from .errors import InputError
+from .errors import BudgetExceededError, InputError
 from .intmat import IntMatrix, smith_normal_form
 from .words import Presentation
 
@@ -50,10 +50,22 @@ def check_primes(primes: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+# The most cells a dense d2 may hold.  Z^3 at index 4096, the largest level
+# known to finish, has 1.5e8 cells (about 2 GB of Python ints); far larger
+# levels would exhaust memory before the Smith normal form could start.
+D2_CELL_CAP = 200_000_000
+
+
 def _fox_d2(p: Presentation, t: CosetTable) -> IntMatrix:
     if t.presentation != p:
         raise InputError("coset table was built over a different presentation")
     m = t.index
+    cells = p.rank * m * len(p.relators) * m
+    if cells > D2_CELL_CAP:
+        raise BudgetExceededError(
+            f"the index-{m} cover's dense boundary matrix d2 would hold {cells} cells, "
+            f"above the cap of {D2_CELL_CAP} cells for a dense matrix"
+        )
     columns = t.columns
     d2 = IntMatrix(p.rank * m, len(p.relators) * m)
     for ri, rel in enumerate(p.relators):

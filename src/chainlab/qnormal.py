@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 from .contexts import (
     EqualityVerdict,
     InfiniteOrderCertificate,
+    RaagContext,
     WordProblemContext,
     classify_raag_presentation,
     exponent_counts,
@@ -94,7 +95,9 @@ class QNormalWitnessSet:
     """One q-normality step: subgroup L inside an ambient presented group.
 
     subgroup_words give L's generators as ambient words; generating_set is the
-    set S of ambient words, with witnesses aligned positionally to it.
+    set S of ambient words, with witnesses aligned positionally to it.  Every
+    word is kept as checked, witness expressions included, so that code below
+    trusts them.
     """
 
     ambient: Presentation
@@ -109,24 +112,41 @@ class QNormalWitnessSet:
             raise InputError("need exactly one witness per generating-set element")
         if not self.subgroup_words:
             raise InputError("the subgroup needs at least one generator word")
-        # keep the checked words, so that code below trusts them
         check = self.ambient.check_word
         object.__setattr__(self, "subgroup_words", tuple(map(check, self.subgroup_words)))
         object.__setattr__(self, "generating_set", tuple(map(check, self.generating_set)))
+        k = len(self.subgroup_words)
+        witnesses = []
         for wit in self.witnesses:
-            self.ambient.check_word(wit.w)
-            for expr in (wit.expr_in_subgroup, wit.expr_in_conjugate):
-                for letter in expr:
-                    if not (1 <= abs(letter) <= len(self.subgroup_words)):
-                        raise InputError(
-                            f"witness expression letter {letter} does not index a subgroup generator"
-                        )
+            fields = (wit.w, wit.expr_in_subgroup, wit.expr_in_conjugate)
+            checked = (check(wit.w), _expression(wit.expr_in_subgroup, k),
+                       _expression(wit.expr_in_conjugate, k))
+            same = all(a is b for a, b in zip(checked, fields))
+            witnesses.append(wit if same else QNormalWitness(*checked))
+        object.__setattr__(self, "witnesses", tuple(witnesses))
+
+
+def _expression(expr: Sequence[int], k: int) -> Word:
+    """expr as a word over the indices 1..k of a subgroup's generators; InputError otherwise."""
+    if type(expr) is not tuple:
+        expr = word(expr)
+    for letter in expr:
+        if type(letter) is not int:
+            return _expression(word(expr), k)
+        if not 1 <= abs(letter) <= k:
+            raise InputError(f"witness expression letter {letter} does not index a subgroup generator")
+    return expr
 
 
 def iota(expr: Sequence[int], subgroup_words: Sequence[Word]) -> Word:
     """Substitute subgroup generator words into a word over generator indices."""
+    return _substitute(word(expr), subgroup_words)
+
+
+def _substitute(expr: Word, subgroup_words: Sequence[Word]) -> Word:
+    """iota for an expression already checked against the subgroup words."""
     out: list[int] = []
-    for letter in word(expr):
+    for letter in expr:
         target = subgroup_words[abs(letter) - 1]
         out.extend(target if letter > 0 else inverse_word(target))
     return free_reduce(out)
@@ -153,19 +173,25 @@ def _spans_abelianization(ws: QNormalWitnessSet) -> bool:
     """Do the exponent images of S generate the abelianization of the ambient group?
 
     They do when the relator and S exponent vectors span all of Z^rank: full
-    rank with every pivot 1.  The relators and S were checked when the
-    witness set was built.
+    rank with every pivot 1.  A commutator relator (x, y, -x, -y) has the
+    zero vector in any presentation, so only the other relators enter the
+    lattice.  The relators and S were checked when the witness set was built.
     """
     p = ws.ambient
-    lattice = Lattice(p.rank, [exponent_counts(w, p.rank) for w in p.relators + ws.generating_set])
+    words = [r for r in p.relators if not (len(r) == 4 and r[2] == -r[0] and r[3] == -r[1])]
+    words += ws.generating_set
+    lattice = Lattice(p.rank, [exponent_counts(w, p.rank) for w in words])
     return lattice.rank == p.rank and lattice.pivot_product == 1
 
 
 def _check_witness(s: Word, w: Word, expr_in_subgroup: Word, expr_in_conjugate: Word,
                    subgroup_words: Sequence[Word], ctx: WordProblemContext) -> WitnessReport:
-    """Is w = expr_in_subgroup in L, w = s expr_in_conjugate s^-1 and of infinite order?"""
-    v_sub = ctx.equal(w, iota(expr_in_subgroup, subgroup_words))
-    conj = free_reduce(tuple(s) + iota(expr_in_conjugate, subgroup_words) + inverse_word(s))
+    """Is w = expr_in_subgroup in L, w = s expr_in_conjugate s^-1 and of infinite order?
+
+    The expressions were checked against subgroup_words by ``_expression``.
+    """
+    v_sub = ctx.equal(w, _substitute(expr_in_subgroup, subgroup_words))
+    conj = free_reduce(tuple(s) + _substitute(expr_in_conjugate, subgroup_words) + inverse_word(s))
     v_conj = ctx.equal(w, conj)
     cert = infinite_order_certificate(w, ctx)
     if EqualityVerdict.UNEQUAL in (v_sub, v_conj):
@@ -177,24 +203,61 @@ def _check_witness(s: Word, w: Word, expr_in_subgroup: Word, expr_in_conjugate: 
     return WitnessReport(s, w, v_sub, v_conj, cert, status)
 
 
-def verify_qnormal(ws: QNormalWitnessSet, ctx: WordProblemContext) -> QNormalReport:
+def verify_qnormal(
+    ws: QNormalWitnessSet, ctx: WordProblemContext, known: Optional[dict] = None
+) -> QNormalReport:
     """Check every witness in the given word-problem context.
 
     A witness is PROVEN when both defining equalities are proven and the
     element is certified of infinite order; UNEQUAL anywhere fails the whole
     certificate; everything else remains CONSISTENT (never overstated).
+
+    known is for verify_chain: it maps ``_witness_key`` to reports checked
+    in contexts that ctx extends (see ``_extends``), and a witness whose key
+    is there takes that report.  The reports checked here are added to it.
+    Without it every witness is checked.
     """
+    if known is None:
+        known = {}
     if ctx.presentation != ws.ambient:
         raise InputError("context and witness set describe different ambient groups")
-    reports = [
-        _check_witness(s, wit.w, wit.expr_in_subgroup, wit.expr_in_conjugate, ws.subgroup_words, ctx)
-        for s, wit in zip(ws.generating_set, ws.witnesses)
-    ]
+    reports = []
+    for s, wit in zip(ws.generating_set, ws.witnesses):
+        key = _witness_key(s, wit, ws.subgroup_words)
+        report = known.get(key)
+        if report is None:
+            report = known[key] = _check_witness(
+                s, wit.w, wit.expr_in_subgroup, wit.expr_in_conjugate, ws.subgroup_words, ctx
+            )
+        reports.append(report)
     return QNormalReport(
         witness_reports=tuple(reports),
         generating_set_spans_abelianization=_spans_abelianization(ws),
         status=weakest([r.status for r in reports]),
     )
+
+
+def _witness_key(s: Word, wit: QNormalWitness, subgroup_words: Sequence[Word]) -> tuple:
+    """Everything a witness report depends on besides the context."""
+    exprs = wit.expr_in_subgroup + wit.expr_in_conjugate
+    return s, wit.w, wit.expr_in_subgroup, wit.expr_in_conjugate, tuple(
+        subgroup_words[abs(x) - 1] for x in exprs
+    )
+
+
+def _extends(earlier: WordProblemContext, later: WordProblemContext) -> bool:
+    """Does a witness report checked in earlier hold unchanged in later?
+
+    It does when both are graph-group contexts and earlier's graph is
+    later's graph restricted to vertices 1..rank(earlier): the pile normal
+    form of a word over those letters only marks the piles of later letters,
+    so every equality and order certificate of such words comes out the same.
+    """
+    if type(earlier) is not RaagContext or type(later) is not RaagContext:
+        return False
+    m = earlier.graph.vertex_count
+    old, new = earlier.graph.edges, later.graph.edges
+    return m <= later.graph.vertex_count and old <= new and all(j > m for _, j in new - old)
 
 
 # -------------------------------------------------------------------- chains
@@ -242,6 +305,14 @@ def verify_chain(
 
     A zero-step certificate (base only, the infinite-cyclic chain of length
     one) takes a single context for the group the base element lives in.
+
+    Each witness is checked once per run of extending contexts: a step takes
+    the report of an identical witness (same s and w, same expressions over
+    the same subgroup words) from an earlier step when every context in
+    between is a graph-group context whose graph restricts to the one before
+    it (see ``_extends``).  Where that fails the kept reports are dropped.
+    Chains from ``chain_commuting_report``, which are prefixes of one graph in
+    walk order, check each witness once.
     """
     if not cert.steps:
         if len(contexts) != 1:
@@ -278,9 +349,12 @@ def verify_chain(
         statuses.append(QNormalStatus.FAILED)
 
     step_reports = []
+    known: dict = {}
     for k, step in enumerate(cert.steps):
         composable: Optional[bool] = None
         if k > 0:
+            if not _extends(contexts[k - 1], contexts[k]):
+                known.clear()
             composable = len(step.subgroup_words) == cert.steps[k - 1].ambient.rank
             if not composable:
                 reasons.append(
@@ -288,7 +362,7 @@ def verify_chain(
                     f"generators of the previous ambient group"
                 )
                 statuses.append(QNormalStatus.FAILED)
-        report = verify_qnormal(step, contexts[k])
+        report = verify_qnormal(step, contexts[k], known)
         statuses.append(report.status)
         if report.status is QNormalStatus.FAILED:
             reasons.append(f"step {k}: a witness equality failed")
@@ -877,12 +951,9 @@ def blow_up(
         )
     for c in connectors:
         # a Connector checks nothing when it is built, so its indices are checked here
-        for expr in (c.witness_in_subgroup, c.witness_in_conjugate):
-            for letter in expr:
-                if not (1 <= abs(letter) <= len(subgroup_words)):
-                    raise InputError("connector witness expression letter out of range")
-        report = _check_witness(c.g_f, c.witness, c.witness_in_subgroup, c.witness_in_conjugate,
-                                subgroup_words, ctx)
+        k = len(subgroup_words)
+        report = _check_witness(c.g_f, c.witness, _expression(c.witness_in_subgroup, k),
+                                _expression(c.witness_in_conjugate, k), subgroup_words, ctx)
         if report.status is not QNormalStatus.PROVEN:
             raise InputError(
                 f"connector for outer orbit {c.outer_label} lacks a proven "

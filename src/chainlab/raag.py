@@ -254,7 +254,15 @@ def emit_qnormal_chain(
 def _parabolic_chain(
     seq: ChainCommutingSequence, g: RaagGraph, names: Optional[Sequence[str]] = None
 ) -> tuple[QNormalChainCertificate, tuple[RaagGraph, ...]]:
-    """emit_qnormal_chain's certificate, with the induced graph of each step's ambient."""
+    """emit_qnormal_chain's certificate, with the induced graph of each step's ambient.
+
+    The graph is relabeled once in walk order, h = g.induced(order), so that
+    step k's ambient is the graph group of h's prefix on 1..k+1.  Each step's
+    graph is h.prefix(k + 1) and its presentation lists h's sorted
+    commutators on those letters under the names of order[:k+1]; both equal
+    what g.induced(order[:k+1]) and its presentation give.  Every step shares
+    one word per letter and one self-witness per generator.
+    """
     names = tuple(names) if names is not None else default_names(g.vertex_count)
     if len(names) != g.vertex_count:
         raise InputError("need exactly one name per vertex")
@@ -282,28 +290,24 @@ def _parabolic_chain(
     if len(order) == 1:
         return QNormalChainCertificate(steps=(), base=(1,)), ()
 
+    h = g.induced(order)
+    position = {v: i + 1 for i, v in enumerate(order)}
+    ordered_names = tuple(names[v - 1] for v in order)
+    commutators = tuple((i, j, -i, -j) for i, j in sorted(h.edges))
+    letters = tuple((j,) for j in range(1, len(order) + 1))
+    witnesses = tuple(QNormalWitness(w=x, expr_in_subgroup=x, expr_in_conjugate=x) for x in letters)
     steps: list[QNormalWitnessSet] = []
     graphs: list[RaagGraph] = []
     for k in range(1, len(order)):
-        vs = order[: k + 1]
-        sub = g.induced(vs)
-        graphs.append(sub)
-        pres = sub.presentation([names[v - 1] for v in vs])
-        position = {v: i + 1 for i, v in enumerate(vs)}
-        witnesses = [
-            QNormalWitness(w=(j,), expr_in_subgroup=(j,), expr_in_conjugate=(j,))
-            for j in range(1, k + 1)
-        ]
+        graphs.append(h.prefix(k + 1))
+        pres = Presentation(ordered_names[: k + 1], tuple(r for r in commutators if r[1] <= k + 1))
         prev = position[predecessor[order[k]]]
-        witnesses.append(
-            QNormalWitness(w=(prev,), expr_in_subgroup=(prev,), expr_in_conjugate=(prev,))
-        )
         steps.append(
             QNormalWitnessSet(
                 ambient=pres,
-                subgroup_words=tuple((j,) for j in range(1, k + 1)),
-                generating_set=tuple((j,) for j in range(1, k + 2)),
-                witnesses=tuple(witnesses),
+                subgroup_words=letters[:k],
+                generating_set=letters[: k + 1],
+                witnesses=witnesses[:k] + (witnesses[prev - 1],),
             )
         )
     return QNormalChainCertificate(steps=tuple(steps), base=(1,)), tuple(graphs)
@@ -342,6 +346,8 @@ def chain_commuting_report(g: RaagGraph) -> ChainCommutingReport:
     Each step is decided in the graph group of the induced graph it was
     emitted from, with the step's ambient as the context's presentation; the
     zero-step chain of a single vertex is decided in the group of g itself.
+    The step graphs are prefixes of one another, so verify_chain checks each
+    witness once.
     """
     seq = chain_commuting_sequence(g)
     if seq is None:

@@ -20,6 +20,7 @@ its own, apart from asserting the pile invariants.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import index
@@ -173,14 +174,16 @@ class RaagGraph:
     def __post_init__(self):
         if self.vertex_count < 1:
             raise InputError("a graph needs at least one vertex")
+        n = self.vertex_count
         normalized = set()
         for e in self.edges:
             i, j = e
             if i == j:
                 raise InputError("self-loops are not allowed")
-            if not (1 <= i <= self.vertex_count and 1 <= j <= self.vertex_count):
+            if not (1 <= i <= n and 1 <= j <= n):
                 raise InputError(f"edge {e} out of range")
-            normalized.add((min(i, j), max(i, j)))
+            # an edge that is already a normalized tuple is kept, so graphs cut from one share it
+            normalized.add(e if i < j and type(e) is tuple else (min(i, j), max(i, j)))
         object.__setattr__(self, "edges", frozenset(normalized))
 
     def adjacent(self, i: int, j: int) -> bool:
@@ -237,6 +240,19 @@ class RaagGraph:
             if i in pos and j in pos
         )
         return RaagGraph(len(vs), edges)
+
+    def prefix(self, m: int) -> "RaagGraph":
+        """The induced subgraph on vertices 1..m, equal to ``induced(range(1, m + 1))``.
+
+        Its non-commuter rows are this graph's rows cut at m (they ascend),
+        so a chain of prefixes computes the table once.
+        """
+        if not 1 <= m <= self.vertex_count:
+            raise InputError(f"prefix length {m} out of range 1..{self.vertex_count}")
+        sub = RaagGraph(m, frozenset(e for e in self.edges if e[1] <= m))
+        rows = [row[: bisect_right(row, m)] for row in self.non_commuters[: m + 1]]
+        object.__setattr__(sub, "non_commuters", tuple(rows + rows[:0:-1]))
+        return sub
 
     def presentation(self, names: Optional[Sequence[str]] = None) -> Presentation:
         names = tuple(names) if names else default_names(self.vertex_count)

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -20,6 +21,7 @@ from chainlab.qnormal import chain_to_dict, witness_set_to_dict
 from chainlab.raag import artin_central_chain
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+SRC = DATA.parent / "src"
 
 
 def read_json(path: Path) -> dict:
@@ -52,6 +54,26 @@ def blowup_job(outer_group: dict, outer_subgroup: list, inner_rank: int) -> dict
 
 
 class TestHomologyCommand:
+    def test_dense_d2_above_the_cell_cap_exits_3_and_writes_nothing(self, tmp_path):
+        # index 99,856 builds within the default budget, but its dense d2
+        # would hold 2e10 cells.  The child's address space is capped at
+        # 1 GB, so a missing guard fails this test instead of exhausting memory.
+        out = tmp_path / "run"
+        argv = ["homology", str(DATA / "Z2.json"), "--chain", "abelian:n=316", "--out", str(out)]
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from chainlab.cli import main\n"
+            f"sys.exit(main({argv!r}))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert proc.returncode == 3, proc.stderr
+        assert "budget exceeded" in proc.stderr and "cells" in proc.stderr
+        assert "--budget" not in proc.stderr
+        assert not out.exists()
+
     def test_integer_chain_ratios(self, tmp_path):
         out = tmp_path / "run"
         rc = main([
@@ -355,6 +377,18 @@ class TestFarberCommand:
 
 
 class TestRebuildCommand:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("option", ["--T", "--kappa"])
+    def test_non_finite_scale_and_kappa_are_refused(self, option, value, tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = ["rebuild", "check", str(DATA / "identity.json"), "--out", str(out)]
+        argv += [f"--T={value}"] if option == "--T" else ["--T", "1", f"--kappa={value}"]
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert "not a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_identity_minimal_kappa(self, tmp_path):
         out = tmp_path / "run"
         rc = main(["rebuild", "check", str(DATA / "identity.json"), "--T", "1", "--out", str(out)])

@@ -164,6 +164,66 @@ class TestWitnessSets:
         assert lenient.status is QNormalStatus.CONSISTENT
         assert lenient.witness_reports[0].status is QNormalStatus.PROVEN
 
+    def test_witness_of_finite_order_is_consistent_not_proven(self):
+        # in <a, b | a^2> both equalities for s = a, w = a hold by free
+        # reduction, but a has order 2, so its intersection is not infinite
+        amb = presentation(("a", "b"), [(1, 1)])
+        ws = QNormalWitnessSet(
+            ambient=amb,
+            subgroup_words=((1,),),
+            generating_set=((1,),),
+            witnesses=(witness((1,), (1,)),),
+        )
+        report = verify_qnormal(ws, battery_context(amb))
+        (wr,) = report.witness_reports
+        assert wr.in_subgroup is EqualityVerdict.EQUAL
+        assert wr.in_conjugate is EqualityVerdict.EQUAL
+        assert not wr.order.proven
+        assert wr.status is QNormalStatus.CONSISTENT
+        assert report.status is QNormalStatus.CONSISTENT
+
+    @pytest.mark.parametrize("names, relators, s, spans", [
+        # in Z, {a^2} spans over Q but not over Z: its pivot is 2
+        (("a",), [], (1, 1), False),
+        # in <a, b | a b^-2>, a = b^2, so {b} spans only through the relator
+        (("a", "b"), [(1, -2, -2)], (2,), True),
+        # a commutator relator adds nothing
+        (("a", "b"), [(1, 2, -1, -2)], (2,), False),
+    ])
+    def test_spans_abelianization_over_the_integers(self, names, relators, s, spans):
+        amb = presentation(names, relators)
+        ws = QNormalWitnessSet(
+            ambient=amb, subgroup_words=(s,), generating_set=(s,), witnesses=(witness(s, (1,)),)
+        )
+        assert verify_qnormal(ws, battery_context(amb)).generating_set_spans_abelianization is spans
+
+    def test_checked_expressions_are_kept_as_tuples(self):
+        # a witness of int tuples is kept as it is; lists and bools are converted
+        checked = witness((1,), (1,))
+        ws = QNormalWitnessSet(
+            ambient=plane_presentation(),
+            subgroup_words=[[1]],
+            generating_set=[[1], [2]],
+            witnesses=(checked, QNormalWitness([1], [True], [1])),
+        )
+        assert ws.witnesses[0] is checked
+        assert ws.witnesses[1] == checked
+        assert type(ws.witnesses[1].expr_in_subgroup[0]) is int
+        with pytest.raises(InputError, match="does not index a subgroup generator"):
+            QNormalWitnessSet(
+                ambient=plane_presentation(),
+                subgroup_words=((1,),),
+                generating_set=((1,),),
+                witnesses=(witness((1,), (-2,)),),
+            )
+        with pytest.raises(InputError):
+            QNormalWitnessSet(
+                ambient=plane_presentation(),
+                subgroup_words=((1,),),
+                generating_set=((1,),),
+                witnesses=(QNormalWitness((1,), ("1",), (1,)),),
+            )
+
     def test_weakest_status_ordering(self):
         assert weakest([QNormalStatus.PROVEN, QNormalStatus.CONSISTENT]) is QNormalStatus.CONSISTENT
         assert weakest([QNormalStatus.CONSISTENT, QNormalStatus.FAILED]) is QNormalStatus.FAILED

@@ -1,12 +1,24 @@
 """Inner-amenability verdicts and chain-commuting certificates for graph groups."""
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import chainlab.qnormal as qnormal_module
 import chainlab.raag as raag_module
+from chainlab.contexts import EqualityVerdict, RaagContext, context_for
 from chainlab.errors import InputError
-from chainlab.qnormal import QNormalStatus, verify_chain
+from chainlab.qnormal import (
+    QNormalChainCertificate,
+    QNormalStatus,
+    QNormalWitness,
+    QNormalWitnessSet,
+    verify_chain,
+    verify_qnormal,
+)
 from chainlab.raag import (
     ArtinGraph,
     ChainCommutingSequence,
@@ -24,7 +36,7 @@ from chainlab.raag import (
     is_inner_amenable_raag,
     symmetric_quotient_probe,
 )
-from chainlab.words import RaagGraph, raag_graph
+from chainlab.words import RaagGraph, default_names, raag_graph
 
 
 def cycle4():
@@ -238,6 +250,112 @@ def _connected_graphs(n):
             yield g
 
 
+def _per_step_chain(seq, g):
+    """The construction the walk-order prefixes replaced, kept as an oracle.
+
+    Every step induces its own graph on the first-visit order's prefix and
+    builds that graph's presentation and witnesses afresh.
+    """
+    walk = [e[0] for e in seq.elements]
+    order, predecessor = [], {}
+    for i, v in enumerate(walk):
+        if v not in order:
+            order.append(v)
+            if i > 0:
+                predecessor[v] = walk[i - 1]
+    names = default_names(g.vertex_count)
+    steps, graphs = [], []
+    for k in range(1, len(order)):
+        vs = order[: k + 1]
+        sub = g.induced(vs)
+        graphs.append(sub)
+        position = {v: i + 1 for i, v in enumerate(vs)}
+        prev = position[predecessor[order[k]]]
+        witnesses = [QNormalWitness((j,), (j,), (j,)) for j in range(1, k + 1)]
+        witnesses.append(QNormalWitness((prev,), (prev,), (prev,)))
+        steps.append(QNormalWitnessSet(
+            ambient=sub.presentation([names[v - 1] for v in vs]),
+            subgroup_words=tuple((j,) for j in range(1, k + 1)),
+            generating_set=tuple((j,) for j in range(1, k + 2)),
+            witnesses=tuple(witnesses),
+        ))
+    return QNormalChainCertificate(steps=tuple(steps), base=(1,)), tuple(graphs)
+
+
+def _checked_step_by_step(cert):
+    """Each step's report from verify_qnormal in its own context: nothing is handed on."""
+    return [verify_qnormal(step, context_for(step.ambient)) for step in cert.steps]
+
+
+@st.composite
+def connected_graphs(draw):
+    """A connected graph on 6-12 vertices, each pair an edge with probability 0.2-0.8."""
+    n = draw(st.integers(6, 12))
+    density = draw(st.floats(0.2, 0.8))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    while True:
+        g = RaagGraph(n, frozenset(p for p in pairs if rng.random() < density))
+        if g.is_connected():
+            return g
+
+
+class TestChainReuse:
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs())
+    def test_walk_order_prefixes_match_the_per_step_oracle(self, g):
+        rep = chain_commuting_report(g)
+        cert, graphs = _per_step_chain(rep.sequence, g)
+        assert rep.certificate == cert
+        _, prefixes = raag_module._parabolic_chain(rep.sequence, g)
+        assert prefixes == graphs
+        assert [h.non_commuters for h in prefixes] == [h.non_commuters for h in graphs]
+        assert rep.verification.status is QNormalStatus.PROVEN
+        assert [s.report for s in rep.verification.step_reports] == _checked_step_by_step(cert)
+
+    def test_a_chain_checks_each_witness_once(self, monkeypatch):
+        checked = []
+        check = qnormal_module._check_witness
+
+        def counting_check(*args):
+            checked.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(qnormal_module, "_check_witness", counting_check)
+        n = 40
+        rep = chain_commuting_report(raag_graph(n, [(i, i + 1) for i in range(1, n)]))
+        assert rep.chain_commuting
+        # each step adds one generator's self-witness and the new generator's witness
+        assert len(checked) <= 2 * (n - 1)
+        # a certificate read back gets the same reuse through exact_chain_contexts
+        checked.clear()
+        assert verify_chain(rep.certificate, exact_chain_contexts(rep.certificate)) == rep.verification
+        assert len(checked) <= 2 * (n - 1)
+
+    def test_no_report_is_handed_to_a_step_whose_graph_does_not_extend(self):
+        # step 0 is Z^2 on a, b; step 1's graph has no edge ab, so it does
+        # not restrict to step 0's graph.  The witness a for s = b is the same
+        # in both steps, and a = b a b^-1 holds in step 0 only.
+        g0, g1 = raag_graph(2, [(1, 2)]), raag_graph(3, [(1, 3), (2, 3)])
+        p0, p1 = g0.presentation(), g1.presentation()
+        a = QNormalWitness((1,), (1,), (1,))
+        cert = QNormalChainCertificate(
+            steps=(
+                QNormalWitnessSet(p0, ((1,),), ((1,), (2,)), (a, a)),
+                QNormalWitnessSet(p1, ((1,), (2,)), ((1,), (2,), (3,)), (a, a, a)),
+            ),
+            base=(1,),
+        )
+        report = verify_chain(cert, (RaagContext(g0, p0), RaagContext(g1, p1)))
+        before = report.step_reports[0].report.witness_reports[1]
+        after = report.step_reports[1].report.witness_reports[1]
+        assert before.in_conjugate is EqualityVerdict.EQUAL
+        assert after.in_conjugate is EqualityVerdict.UNEQUAL
+        assert before != after
+        assert report.status is QNormalStatus.FAILED
+        assert [s.report for s in report.step_reports] == _checked_step_by_step(cert)
+
+
 class TestExhaustiveSweep:
     def test_all_connected_graphs_up_to_five_vertices_proven(self):
         total = 0
@@ -268,6 +386,11 @@ class TestExhaustiveSweep:
                 assert [(c.graph, c.presentation) for c in contexts] == [
                     (c.graph, c.presentation) for c in exact
                 ], sorted(g.edges)
+                # verify_chain hands reports on over exact contexts too, so
+                # the independent reference checks every step on its own
+                assert [s.report for s in rep.verification.step_reports] == _checked_step_by_step(
+                    rep.certificate
+                ), sorted(g.edges)
                 reference = verify_chain(rep.certificate, exact)
                 assert rep.verification.status is reference.status
                 assert [s.report.witness_reports for s in rep.verification.step_reports] == [

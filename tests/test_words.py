@@ -144,6 +144,22 @@ def test_graph_induced_and_presentation():
     assert set(p.relators) == {(1, 2, -1, -2), (2, 3, -2, -3)}
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.sampled_from(list(itertools.combinations(range(1, n + 1), 2))))
+    if n > 1 else st.just(set()))))
+def test_graph_prefix_is_the_induced_graph_with_a_cut_table(case):
+    n, edges = case
+    g = RaagGraph(n, frozenset(edges))
+    for m in range(1, n + 1):
+        sub = g.prefix(m)
+        assert sub == g.induced(range(1, m + 1))
+        assert sub.non_commuters == RaagGraph(m, sub.edges).non_commuters
+    for m in (0, n + 1):
+        with pytest.raises(InputError):
+            g.prefix(m)
+
+
 def test_presentation_validation():
     p = presentation(["a", "b"], [[1, 2, -1, -2]])
     assert p.relators == ((1, 2, -1, -2),)
