@@ -10,8 +10,10 @@ edge stabilizers are infinite.
 The same graph is then rebuilt in two stages through the intermediate
 subgroup H = <x, y^2>: a complete 2-vertex graph on G/H, blown up by a ball
 on H/L, stitched with connector edges whose crossing witnesses are verified
-before any edge is drawn.  The result is compared edge-by-edge (with labels)
-against the directly built ball on the common truncation.
+before any edge is drawn.  The blow-up infers its coset solvers and its
+word-problem context from the plane's presentation.  The result is compared
+edge-by-edge (with labels) against the directly built ball on the common
+truncation.
 """
 
 from chainlab.fixtures import (
@@ -21,8 +23,6 @@ from chainlab.fixtures import (
     plane_line_ball,
     plane_outer_graph,
     plane_presentation,
-    plane_rewriter,
-    plane_line_solver,
 )
 from chainlab.qnormal import (
     blow_up,
@@ -52,15 +52,7 @@ for target in ((2, 2, 2), (1, 2)):
     route = " -> ".join(format_word(v, names) or "e" for v in path.vertices)
     print(f"\npath to the coset of {format_word(target, names)}: {route}")
 
-blown = blow_up(
-    plane_outer_graph(),
-    plane_inner_ball(),
-    plane_connectors(),
-    ctx,
-    [(1,)],
-    plane_rewriter(),
-    solver=plane_line_solver(),
-)
+blown = blow_up(plane_outer_graph(), plane_inner_ball(), plane_connectors(), [(1,)])
 print(f"\nblow-up through H = <x, y^2>: {len(blown.vertices)} vertices "
       f"({len(blown.outer.vertices)} outer x {len(blown.inner.vertices)} inner), "
       f"{blown.dropped_edges} edge(s) left the truncation")

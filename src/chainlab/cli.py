@@ -56,7 +56,6 @@ from .qnormal import (
     chain_to_dict,
     compare_blowup_with_direct,
     graph_to_dict,
-    infer_solver,
     trim_cocompact,
     verify_chain,
     verify_qnormal,
@@ -415,21 +414,19 @@ def cmd_qnormal_verify(args: argparse.Namespace) -> tuple[int, dict, dict]:
     return code, {}, {"verify_report.json": payload}
 
 
-def _graph_from_job(job: dict, args: argparse.Namespace) -> tuple[Presentation, CosetGraph]:
-    p = presentation_from_dict(field(job, "group", json_object))
-    graph = build_coset_graph(
-        p,
+def _graph_from_job(job: dict, args: argparse.Namespace) -> CosetGraph:
+    return build_coset_graph(
+        presentation_from_dict(field(job, "group", json_object)),
         field(job, "subgroup", words),
         field(job, "generating_set", words),
         budget=field(job, "budget", index, args.budget),
         radius=field(job, "radius", index, args.radius),
         witnesses=field(job, "witnesses", words, None),
     )
-    return p, graph
 
 
 def cmd_qnormal_graph(args: argparse.Namespace) -> tuple[int, dict, dict]:
-    _, graph = _graph_from_job(load_json(args.input), args)
+    graph = _graph_from_job(load_json(args.input), args)
     payload = graph_to_dict(graph)
     payload["is_connected"] = graph.is_connected()
     if graph.witnesses is not None:
@@ -441,26 +438,11 @@ def cmd_qnormal_blowup(args: argparse.Namespace) -> tuple[int, dict, dict]:
     job = load_json(args.input)
     outer_job = field(job, "outer", json_object)
     inner_job = field(job, "inner", json_object)
-    p, outer = _graph_from_job(outer_job, args)
-    _, inner = _graph_from_job(inner_job, args)
-    subgroup_words = field(job, "subgroup_words", words)
-    connectors = field(job, "connectors", list_of(connector), ())
-    # the rewriter decomposes ambient words into letters of the outer
-    # subgroup, whose generators are the outer graph's subgroup words
-    rewriter = infer_solver(p, outer.subgroup_words)
-    if rewriter is None:
-        raise InputError(
-            "no subgroup rewriter for the outer subgroup: blow-ups need a graph-group "
-            "ambient, and a parabolic outer subgroup unless the group is free abelian"
-        )
     blown = blow_up(
-        outer,
-        inner,
-        connectors,
-        context_for(p),
-        subgroup_words,
-        rewriter,
-        solver=infer_solver(p, subgroup_words),
+        _graph_from_job(outer_job, args),
+        _graph_from_job(inner_job, args),
+        field(job, "connectors", list_of(connector), ()),
+        field(job, "subgroup_words", words),
     )
     payload = {
         "vertices": [list(v) for v in blown.vertices],
@@ -472,7 +454,7 @@ def cmd_qnormal_blowup(args: argparse.Namespace) -> tuple[int, dict, dict]:
     }
     if "direct" in job:
         direct_job = {"group": outer_job["group"], **field(job, "direct", json_object)}
-        _, direct = _graph_from_job(direct_job, args)
+        direct = _graph_from_job(direct_job, args)
         comparison = compare_blowup_with_direct(blown, direct)
         payload["comparison"] = {
             "common_vertices": comparison.common_vertices,
@@ -485,9 +467,9 @@ def cmd_qnormal_blowup(args: argparse.Namespace) -> tuple[int, dict, dict]:
 
 def cmd_qnormal_trim(args: argparse.Namespace) -> tuple[int, dict, dict]:
     job = load_json(args.input)
-    p, graph = _graph_from_job(job, args)
+    graph = _graph_from_job(job, args)
     generators = field(job, "generators", words)
-    ctx = context_for(p)
+    ctx = context_for(graph.presentation)
     if not ctx.decides_equality:
         raise UndecidableContextError(
             "trimming needs an exact word-problem context; this presentation only has a battery"

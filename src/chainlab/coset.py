@@ -370,13 +370,22 @@ class SubgroupChain:
         return tuple(t.index for t in self.levels)
 
 
+def _cover_index(moduli: Sequence[int], max_cosets: int) -> int:
+    """The index m_1...m_b of a quotient kernel, checked against the budget
+    before the level's subgroup words (powers as long as a modulus) are built."""
+    index = prod(moduli)
+    if index > max_cosets:
+        raise BudgetExceededError(f"cover index {index} exceeds the budget of {max_cosets} cosets")
+    return index
+
+
 def _quotient_kernel(
     p: Presentation,
     images: Sequence[Sequence[int]],
     moduli: Sequence[int],
     subgroup_words: Sequence[Word],
     construction: str,
-    max_cosets: int,
+    index: int,
 ) -> CosetTable:
     """The kernel of g -> images[g-1] mod moduli, written down as a coset table.
 
@@ -385,12 +394,8 @@ def _quotient_kernel(
     g adds its image to it.  ``verify()`` proves that this is an action of
     the presented group (every relator acts trivially), that the listed
     subgroup words lie in the kernel and that the map is onto (the action is
-    transitive).  Raises BudgetExceededError when the index m_1...m_b
-    exceeds max_cosets.
+    transitive).  index is ``_cover_index(moduli, ...)``.
     """
-    index = prod(moduli)
-    if index > max_cosets:
-        raise BudgetExceededError(f"cover index {index} exceeds the budget of {max_cosets} cosets")
     action = []
     for image in images:
         perm = [1]
@@ -435,9 +440,10 @@ def build_abelian_chain(
     levels = []
     labels = []
     for n in moduli:
+        index = _cover_index([n] * len(free_rows), max_cosets)
         subgroup = [power((g,), n) for g in range(1, p.rank + 1)] + torsion_words
         levels.append(_quotient_kernel(
-            p, images, [n] * len(free_rows), subgroup, "abelian-quotient-kernel", max_cosets
+            p, images, [n] * len(free_rows), subgroup, "abelian-quotient-kernel", index
         ))
         labels.append(f"abelian-n={n}")
     return SubgroupChain(p, tuple(levels), tuple(labels))
@@ -466,32 +472,46 @@ def cyclic_cover_chain(
         if n < 1:
             raise InputError("cover degrees must be positive")
         m = gcd(n, *sums)
+        index = _cover_index([m], max_cosets)
         subgroup = [power((gen,), m)] + [(h,) for h in range(1, p.rank + 1) if h != gen]
-        levels.append(_quotient_kernel(p, images, [m], subgroup, "cyclic-quotient-kernel", max_cosets))
+        levels.append(_quotient_kernel(p, images, [m], subgroup, "cyclic-quotient-kernel", index))
         labels.append(f"cyclic-n={n}")
     return SubgroupChain(p, tuple(levels), tuple(labels))
 
 
 _RANGE = re.compile(r"^(\d+)\.\.(\d+)$")
+_CHAIN_KEYS = {"abelian": ("n",), "cyclic": ("n", "gen")}
 
 
 def parse_chain_spec(spec: str, p: Presentation, max_cosets: int = DEFAULT_BUDGET) -> SubgroupChain:
-    """Parse "abelian:n=2,4,8" / "abelian:n=1..5" / "cyclic:n=2..8[,gen=2]"."""
+    """Parse "abelian:n=2,4,8" / "abelian:n=1..5" / "cyclic:n=2..8[,gen=2]".
+
+    n is required, once; gen is optional, once, and only on cyclic chains.
+    Anything else is an InputError naming the offending key.
+    """
     if max_cosets < 1:
         raise InputError("budget must be at least 1")
+    kind, _, args = spec.partition(":")
+    if kind not in _CHAIN_KEYS:
+        raise InputError(f"unknown chain kind {kind!r} (expected abelian or cyclic)")
+    params: dict[str, str] = {}
+    key = None
+    for part in args.split(",") if args else []:
+        name, eq, val = part.partition("=")
+        if not eq and key == "n":  # a bare value continues an n list such as n=2,4,8
+            params["n"] += "," + part
+            continue
+        key = name
+        if key not in _CHAIN_KEYS[kind]:
+            raise InputError(f"chain spec {spec!r}: {kind} chains take no key {key!r}")
+        if key in params:
+            raise InputError(f"chain spec {spec!r}: key {key!r} is given twice")
+        if not val:
+            raise InputError(f"chain spec {spec!r}: key {key!r} has no value")
+        params[key] = val
+    if "n" not in params:
+        raise InputError(f"chain spec {spec!r} needs an n= parameter")
     try:
-        kind, _, args = spec.partition(":")
-        params: dict[str, str] = {}
-        for part in args.split(",") if args else []:
-            key, _, val = part.partition("=")
-            if not val:
-                # bare continuation of an n-list such as n=2,4,8
-                params["n"] = params.get("n", "") + "," + key
-            else:
-                params[key] = val
-        if "n" not in params:
-            raise InputError(f"chain spec {spec!r} needs an n= parameter")
-        ns: list[int] = []
         m = _RANGE.match(params["n"])
         if m:
             ns = list(range(int(m.group(1)), int(m.group(2)) + 1))
@@ -499,10 +519,8 @@ def parse_chain_spec(spec: str, p: Presentation, max_cosets: int = DEFAULT_BUDGE
             ns = [int(tok) for tok in params["n"].split(",") if tok]
         if kind == "abelian":
             return build_abelian_chain(p, ns, max_cosets=max_cosets)
-        if kind == "cyclic":
-            return cyclic_cover_chain(p, ns, gen=int(params.get("gen", "1")), max_cosets=max_cosets)
-        raise InputError(f"unknown chain kind {kind!r} (expected abelian or cyclic)")
-    except (ValueError, IndexError) as exc:
+        return cyclic_cover_chain(p, ns, gen=int(params.get("gen", "1")), max_cosets=max_cosets)
+    except (ValueError, IndexError, OverflowError) as exc:
         raise InputError(f"cannot parse chain spec {spec!r}: {exc}") from None
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from .contexts import WordProblemContext, free_abelian_context, raag_context
 from .qnormal import (
-    AbelianCosetSolver,
     Connector,
     CosetGraph,
     QNormalChainCertificate,
@@ -161,10 +160,3 @@ def plane_connectors() -> tuple[Connector, ...]:
         ),
     )
 
-
-def plane_rewriter() -> AbelianCosetSolver:
-    return AbelianCosetSolver(2, [(1,), (2, 2)])
-
-
-def plane_line_solver() -> AbelianCosetSolver:
-    return AbelianCosetSolver(2, [(1,)])

@@ -6,19 +6,22 @@ and sLs^-1 (exhibited as two expressions over L's generators).  Chains of such
 steps down to an infinite cyclic base are verified step by step.
 
 Coset graphs realize the induced action: vertices are the left cosets G/L and
-each s in S contributes the edge orbit {{gL, gsL}}.  When [G:L] is finite the
-graph is computed completely from a coset table; otherwise a radius-r ball
-over canonical coset representatives is built, with frontier vertices marked
-and only edges between listed vertices included.  The blow-up construction
+each s in S contributes the edge orbit {{gL, gsL}}, with cosets looked up
+through one coset solver.  When [G:L] is finite the graph is computed
+completely from a coset table, read by a table solver; otherwise a radius-r
+ball over canonical coset representatives is built, with frontier vertices
+marked and only edges between listed vertices included.  The blow-up
 replaces the vertices of a graph on G/H by copies of a graph on H/L — inner
 edges are translated through every vertex class and connector edges join
 every pair of classes related by a chosen orbit representative, each carrying
-an infinite-intersection witness.  Trimming keeps only the edge orbits met by
-one connecting path per generator.
+an infinite-intersection witness — and infers its solvers and context from
+the outer presentation.  Trimming keeps only the edge orbits met by one
+connecting path per generator.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -29,6 +32,7 @@ from .contexts import (
     RaagContext,
     WordProblemContext,
     classify_raag_presentation,
+    context_for,
     exponent_counts,
     exponent_vector,
     infinite_order_certificate,
@@ -51,7 +55,6 @@ from .words import (
     Word,
     free_reduce,
     inverse_word,
-    pile_normal_form,
     raag_normal_form,
     word,
 )
@@ -384,8 +387,6 @@ class CosetSolver:
     """Canonical representatives for left cosets wL of a fixed subgroup L,
     and rewriting of ambient words that lie in L into L's own letters."""
 
-    description: str
-
     def canonical(self, w: Sequence[int]) -> Word:
         raise NotImplementedError
 
@@ -400,7 +401,6 @@ class AbelianCosetSolver(CosetSolver):
     def __init__(self, rank: int, subgroup_words: Sequence[Sequence[int]]):
         self.rank = rank
         self.lattice = Lattice(rank, [exponent_vector(w, rank) for w in subgroup_words])
-        self.description = f"free-abelian rank {rank} modulo a sublattice"
 
     def canonical(self, w: Sequence[int]) -> Word:
         return power_word(self.lattice.reduce(exponent_vector(w, self.rank)))
@@ -416,10 +416,10 @@ class ParabolicCosetSolver(CosetSolver):
     The subgroup is given by its generators as signed single letters, in
     order; the letter at position i is subgroup letter i, so a generator -v
     maps v to the inverse of its letter.  The canonical representative
-    strips, from the normal form, every deletable subgroup letter: a letter
-    lying in the parabolic set that commutes with the whole suffix to its
-    right.  The result is the unique minimal-length coset representative,
-    returned in normal form.
+    strips, from the normal form, every deletable subgroup letter: one in
+    the parabolic set that commutes with every letter kept to its right.
+    The result is the unique minimal-length coset representative, returned
+    in normal form.
     """
 
     def __init__(self, graph: RaagGraph, letters: Sequence[int]):
@@ -430,23 +430,25 @@ class ParabolicCosetSolver(CosetSolver):
             self.relabel[abs(letter)] = i if letter > 0 else -i
         self.graph = graph
         self.parabolic = frozenset(self.relabel)
-        self.description = f"graph-group parabolic on vertices {sorted(self.parabolic)}"
 
     def canonical(self, w: Sequence[int]) -> Word:
-        current = raag_normal_form(w, self.graph)
-        n, non_commuters = self.graph.vertex_count, self.graph.non_commuters
-        while True:
-            removed = False
-            for i in range(len(current) - 1, -1, -1):
-                letter = current[i]
-                if abs(letter) not in self.parabolic:
-                    continue
-                if all(self.graph.adjacent(abs(letter), abs(t)) for t in current[i + 1:]):
-                    current = pile_normal_form(current[:i] + current[i + 1:], n, non_commuters)
-                    removed = True
-                    break
-            if not removed:
-                return current
+        """One right-to-left pass.  The deletable letters are the largest
+        upward-closed set of parabolic letters in the dependence order, and
+        deleting them leaves a normal form: a cancelling pair or an
+        out-of-order commuting pair among the kept letters would already have
+        been one in w's normal form, since each deleted letter between them
+        commutes with every kept letter to its right."""
+        non_commuters = self.graph.non_commuters
+        kept: list[int] = []
+        blocked: set[int] = set()  # vertices that fail to commute with a kept letter
+        for letter in reversed(raag_normal_form(w, self.graph)):
+            v = abs(letter)
+            if v in self.parabolic and v not in blocked:
+                continue
+            kept.append(letter)
+            blocked.add(v)
+            blocked.update(non_commuters[letter])
+        return tuple(reversed(kept))
 
     def to_subgroup_letters(self, w: Sequence[int]) -> Optional[Word]:
         out = []
@@ -456,6 +458,19 @@ class ParabolicCosetSolver(CosetSolver):
             new = self.relabel[abs(letter)]
             out.append(new if letter > 0 else -new)
         return tuple(out)
+
+
+class TableCosetSolver(CosetSolver):
+    """Cosets of a finite-index subgroup, read off its coset table: the table
+    acts on right cosets, so wL is represented by the inverse of the
+    spanning-tree word of 1.w^-1.  It does not rewrite into L's letters."""
+
+    def __init__(self, table: CosetTable):
+        self.table = table
+        self.representatives = tuple(inverse_word(rep) for rep in table.transversal)
+
+    def canonical(self, w: Sequence[int]) -> Word:
+        return self.representatives[self.table.trace(1, inverse_word(w)) - 1]
 
 
 def infer_solver(p: Presentation, subgroup_words: Sequence[Sequence[int]]) -> Optional[CosetSolver]:
@@ -487,12 +502,11 @@ def infer_solver(p: Presentation, subgroup_words: Sequence[Sequence[int]]) -> Op
 class CosetGraph:
     """The graph on G/L with one edge orbit per generating-set element.
 
-    vertices hold left-coset representative words (index 0 is the base coset);
-    edges are (u, v, label) index triples with u <= v, label indexing the
-    generating set; the orbit of an edge is its label class.  Complete graphs
-    carry the coset table of the enumeration; balls carry the solver, the
-    radius, and the frontier (vertices at distance exactly radius, whose
-    incident edge lists may be incomplete).
+    vertices hold the solver's canonical coset words (index 0 is the base
+    coset); edges are (u, v, label) index triples with u <= v, label indexing
+    the generating set; the orbit of an edge is its label class.  A complete
+    graph has radius None; a ball has its radius and the frontier (vertices
+    at distance exactly radius, whose incident edge lists may be incomplete).
     """
 
     presentation: Presentation
@@ -500,14 +514,12 @@ class CosetGraph:
     generating_set: tuple[Word, ...]
     vertices: tuple[Word, ...]
     edges: tuple[tuple[int, int, int], ...]
-    kind: str  # "complete" | "ball"
+    solver: CosetSolver
     radius: Optional[int] = None
     frontier: tuple[int, ...] = ()
-    table: Optional[CosetTable] = None
-    solver: Optional[CosetSolver] = None
     witnesses: Optional[tuple[Word, ...]] = None
-    _index: dict = field(default_factory=dict, repr=False)
-    _edge_set: set = field(default_factory=set, repr=False)
+    _index: dict = field(default_factory=dict, init=False, repr=False)
+    _edge_set: set = field(default_factory=set, init=False, repr=False)
 
     def __post_init__(self):
         self._index.update({v: i for i, v in enumerate(self.vertices)})
@@ -521,15 +533,11 @@ class CosetGraph:
 
     @property
     def completeness(self) -> str:
-        return self.kind if self.kind == "complete" else f"ball({self.radius})"
+        return "complete" if self.radius is None else f"ball({self.radius})"
 
     def vertex_of(self, w: Sequence[int]) -> int:
         """Vertex index of the coset wL; raises if outside the truncation."""
-        w = self.presentation.check_word(w)
-        if self.kind == "complete":
-            c = self.table.trace(1, inverse_word(w))
-            return c - 1
-        rep = self.solver.canonical(w)
+        rep = self.solver.canonical(self.presentation.check_word(w))
         if rep not in self._index:
             raise TruncationTooSmallError(
                 f"coset with representative {rep} lies outside the radius-{self.radius} ball"
@@ -563,8 +571,6 @@ class CosetGraph:
 
     def _fixes_vertex(self, element: Word, vertex: int) -> bool:
         """Does left translation by the element fix the given coset?  Exact."""
-        if self.kind == "complete":
-            return self.table.trace(vertex + 1, inverse_word(element)) == vertex + 1
         rep = self.vertices[vertex]
         return self.solver.canonical(tuple(element) + tuple(rep)) == rep
 
@@ -632,80 +638,47 @@ def _edge_orbit(table: CosetTable, s: Word) -> set[tuple[int, int]]:
     return out
 
 
-def _complete_graph_from_table(
-    p: Presentation,
-    subgroup_words: tuple[Word, ...],
-    generating_set: tuple[Word, ...],
-    table: CosetTable,
-    witnesses: Optional[tuple[Word, ...]],
-) -> CosetGraph:
-    vertices = tuple(inverse_word(rep) for rep in table.transversal)
-    edges = []
-    for label, s in enumerate(generating_set):
-        edges += [(u, v, label) for u, v in _edge_orbit(table, s)]
-    return CosetGraph(
-        presentation=p,
-        subgroup_words=subgroup_words,
-        generating_set=generating_set,
-        vertices=vertices,
-        edges=tuple(sorted(edges)),
-        kind="complete",
-        table=table,
-        witnesses=witnesses,
-    )
+def _ball(
+    solver: CosetSolver, generating_set: tuple[Word, ...], radius: int
+) -> tuple[tuple[Word, ...], tuple[tuple[int, int, int], ...], tuple[int, ...]]:
+    """Vertices, edges and frontier of the radius-r ball of canonical words.
 
-
-def _ball_graph(
-    p: Presentation,
-    subgroup_words: tuple[Word, ...],
-    generating_set: tuple[Word, ...],
-    solver: CosetSolver,
-    radius: int,
-    witnesses: Optional[tuple[Word, ...]],
-) -> CosetGraph:
+    Breadth-first, each neighbour found once: an inner vertex's s-step is an
+    edge when it is found, and a frontier vertex takes only its s-steps,
+    which are all its edges need.
+    """
     limit = coset.DEFAULT_BUDGET
     base = solver.canonical(())
-    dist = {base: 0}
     order = [base]
+    index = {base: 0}
+    edges = set()
     queue = [base]
     depth = 0
     while queue and depth < radius:
         nxt = []
         for rep in queue:
-            for s in generating_set:
-                for step in (tuple(s), inverse_word(s)):
-                    neighbor = solver.canonical(tuple(rep) + step)
-                    if neighbor not in dist:
-                        dist[neighbor] = depth + 1
+            for label, s in enumerate(generating_set):
+                forward = solver.canonical(tuple(rep) + tuple(s))
+                for neighbor in (forward, solver.canonical(tuple(rep) + inverse_word(s))):
+                    if neighbor not in index:
+                        index[neighbor] = len(order)
                         order.append(neighbor)
                         nxt.append(neighbor)
+                u, v = index[rep], index[forward]
+                edges.add((min(u, v), max(u, v), label))
             if len(order) > limit:
                 raise BudgetExceededError(
                     f"the radius-{radius} ball has more than {limit} vertices"
                 )
         queue = nxt
         depth += 1
-    index = {rep: i for i, rep in enumerate(order)}
-    edges = set()
-    for rep in order:
+    for rep in queue:
         for label, s in enumerate(generating_set):
             partner = solver.canonical(tuple(rep) + tuple(s))
             if partner in index:
                 u, v = index[rep], index[partner]
                 edges.add((min(u, v), max(u, v), label))
-    frontier = tuple(i for i, rep in enumerate(order) if dist[rep] == radius)
-    return CosetGraph(
-        presentation=p,
-        subgroup_words=subgroup_words,
-        generating_set=generating_set,
-        vertices=tuple(order),
-        edges=tuple(sorted(edges)),
-        kind="ball",
-        radius=radius,
-        frontier=frontier,
-        solver=solver,
-        witnesses=witnesses,
-    )
+    return tuple(order), tuple(sorted(edges)), tuple(index[rep] for rep in queue)
 
 
 def build_coset_graph(
@@ -726,6 +699,8 @@ def build_coset_graph(
     """
     if budget < 1:
         raise InputError("budget must be at least 1")
+    if radius < 0:
+        raise InputError("radius must be at least 0")
     subgroup_words = tuple(p.check_word(w) for w in subgroup_words)
     generating_set = tuple(p.check_word(s) for s in generating_set)
     if not generating_set:
@@ -735,16 +710,24 @@ def build_coset_graph(
         raise InputError("need one stabilizer witness per generating-set element")
     try:
         table = todd_coxeter(p, subgroup_words, max_cosets=budget)
-        return _complete_graph_from_table(p, subgroup_words, generating_set, table, wit)
     except BudgetExceededError:
-        pass
-    solver = infer_solver(p, subgroup_words)
-    if solver is None:
-        raise UndecidableContextError(
-            "coset enumeration exceeded its budget and no canonical-form solver is "
-            "available for this subgroup shape; raise the budget"
-        )
-    return _ball_graph(p, subgroup_words, generating_set, solver, radius, wit)
+        table = None
+    if table is not None:
+        solver = TableCosetSolver(table)
+        vertices, frontier, radius = solver.representatives, (), None
+        edges = tuple(sorted(
+            (u, v, label) for label, s in enumerate(generating_set) for u, v in _edge_orbit(table, s)
+        ))
+    else:
+        solver = infer_solver(p, subgroup_words)
+        if solver is None:
+            raise UndecidableContextError(
+                "coset enumeration exceeded its budget and no canonical-form solver is "
+                "available for this subgroup shape; raise the budget"
+            )
+        vertices, edges, frontier = _ball(solver, generating_set, radius)
+    return CosetGraph(p, subgroup_words, generating_set, vertices, edges, solver,
+                      radius=radius, frontier=frontier, witnesses=wit)
 
 
 # --------------------------------------------------------------------- paths
@@ -805,6 +788,8 @@ def connectedness_path(
     into it) is found by bounded breadth-first search.  Every consecutive
     vertex pair is checked to be an edge of the graph.
     """
+    if bound < 0:
+        raise InputError("search bound must be at least 0")
     g = graph.presentation.check_word(g)
     S = graph.generating_set
     factorization = _factorize(tuple(g), S, ctx, bound)
@@ -821,7 +806,7 @@ def connectedness_path(
         nxt = graph.vertex_of(prefix)
         u, v = indices[-1], nxt
         found = graph.has_edge(u, v, label)
-        if not found and graph.kind == "complete":  # full orbit: absence is a bug
+        if not found and graph.radius is None:  # full orbit: absence is a bug
             raise VerificationFailure(f"path step {signed} is not an edge of the graph")
         edges.append((min(u, v), max(u, v), label))
         present.append(found)
@@ -849,22 +834,8 @@ def trim_cocompact(
     for gen in generators:
         path = connectedness_path(gen, graph, ctx, bound=bound)
         used.update(label for _, _, label in path.edges)
-    kept = tuple(sorted(used))
-    trimmed_edges = tuple(e for e in graph.edges if e[2] in used)
-    trimmed = CosetGraph(
-        presentation=graph.presentation,
-        subgroup_words=graph.subgroup_words,
-        generating_set=graph.generating_set,
-        vertices=graph.vertices,
-        edges=trimmed_edges,
-        kind=graph.kind,
-        radius=graph.radius,
-        frontier=graph.frontier,
-        table=graph.table,
-        solver=graph.solver,
-        witnesses=graph.witnesses,
-    )
-    return trimmed, kept
+    trimmed = dataclasses.replace(graph, edges=tuple(e for e in graph.edges if e[2] in used))
+    return trimmed, tuple(sorted(used))
 
 
 # ------------------------------------------------------------------- blow-up
@@ -914,33 +885,36 @@ def blow_up(
     outer: CosetGraph,
     inner: CosetGraph,
     connectors: Sequence[Connector],
-    ctx: WordProblemContext,
     subgroup_words: Sequence[Sequence[int]],
-    rewriter: CosetSolver,
-    solver: Optional[CosetSolver] = None,
 ) -> BlowUpGraph:
     """Blow up a graph on G/H through a graph on H/L to a graph on G/L.
 
     subgroup_words express L's generators as ambient (G) words; inner's
     presentation must be the abstract presentation of H on outer's subgroup
-    words (positional correspondence).  rewriter is the coset solver of H
-    (e.g. infer_solver on outer's subgroup words); it rewrites ambient words
-    lying in H into H's letters.  Every outer edge orbit must come with
-    a connector whose witness is verified here: the two membership expressions
-    must hold in ctx and the witness must be of proven infinite order —
-    otherwise the construction is refused.
+    words (positional correspondence).  With p outer's presentation,
+    ``infer_solver(p, outer.subgroup_words)`` rewrites ambient words lying in
+    H into H's letters, ``infer_solver(p, subgroup_words)`` (if any) gives
+    the vertices' canonical words, and ``context_for(p)`` checks connectors.
+    Every outer edge orbit must come with a connector whose witness is
+    verified here: the two membership expressions must hold and the witness
+    must be of proven infinite order, or the construction is refused.
     """
-    if outer.kind != "complete":
+    p = outer.presentation
+    rewriter = infer_solver(p, outer.subgroup_words)
+    if rewriter is None:
+        raise InputError(
+            "no subgroup rewriter for the outer subgroup: blow-ups need a graph-group "
+            "ambient, and a parabolic outer subgroup unless the group is free abelian"
+        )
+    if outer.radius is not None:
         raise InputError("the outer graph must be complete (finite index) for the blow-up")
     if inner.presentation.rank != len(outer.subgroup_words):
         raise InputError(
             "inner presentation rank must match the number of outer subgroup words"
         )
-    subgroup_words = tuple(ctx.presentation.check_word(w) for w in subgroup_words)
-
-    def h_to_g(w: Sequence[int]) -> Word:
-        return iota(w, outer.subgroup_words)
-
+    subgroup_words = tuple(p.check_word(w) for w in subgroup_words)
+    solver = infer_solver(p, subgroup_words)
+    ctx = context_for(p)
     by_label = {c.outer_label: c for c in connectors}
     needed = set(outer.edge_orbits())
     missing = needed - set(by_label)
@@ -969,7 +943,8 @@ def blow_up(
     pairs = [(o, i) for o in range(len(outer.vertices)) for i in range(len(inner.vertices))]
     pair_index = {pair: k for k, pair in enumerate(pairs)}
     vertex_words = tuple(
-        free_reduce(tuple(outer.vertices[o]) + h_to_g(inner.vertices[i])) for o, i in pairs
+        free_reduce(tuple(outer.vertices[o]) + iota(inner.vertices[i], outer.subgroup_words))
+        for o, i in pairs
     )
     if solver is not None:
         canonical_words = tuple(solver.canonical(w) for w in vertex_words)
@@ -1034,7 +1009,7 @@ def compare_blowup_with_direct(blowup: BlowUpGraph, direct: CosetGraph) -> Graph
     connector labels map to the connector's g_f word.  Only edges with both
     endpoints in the common vertex set participate.
     """
-    if direct.solver is None:
+    if direct.radius is None:
         raise InputError("the direct graph must be a ball built over a coset solver")
     blow_vertices = set(blowup.canonical_words)
     direct_vertices = set(direct.vertices)

@@ -21,8 +21,6 @@ from chainlab.fixtures import (
     plane_outer_graph,
     plane_inner_ball,
     plane_connectors,
-    plane_rewriter,
-    plane_line_solver,
     plane_presentation,
     star_acd_graph,
 )
@@ -264,15 +262,7 @@ class TestCriterion8CosetGraphs:
             assert infinite_order_certificate(w, ctx).proven
 
     def test_blow_up_reproduces_labeled_ball(self):
-        blown = blow_up(
-            plane_outer_graph(),
-            plane_inner_ball(),
-            plane_connectors(),
-            plane_context(),
-            [(1,)],
-            plane_rewriter(),
-            solver=plane_line_solver(),
-        )
+        blown = blow_up(plane_outer_graph(), plane_inner_ball(), plane_connectors(), [(1,)])
         direct = build_coset_graph(
             plane_presentation(), [(1,)], [(1,), (2, 2), (2,)], budget=3, radius=3
         )

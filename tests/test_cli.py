@@ -9,6 +9,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -144,6 +145,19 @@ class TestHomologyCommand:
         ])
         assert rc == code
 
+    @pytest.mark.parametrize("chain, key", [
+        ("abelian:n=1..3,gen=5", "'gen'"),
+        ("cyclic:n=2..4,foo=3", "'foo'"),
+        ("abelian:n=1..3,n=7", "'n'"),
+        ("abelian:n=", "'n'"),
+    ])
+    def test_chain_spec_with_a_bad_key_is_an_input_error(self, chain, key, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["homology", str(DATA / "Z.json"), "--chain", chain, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and key in err
+        assert not out.exists()
+
     def test_non_positive_budget_is_an_input_error(self, tmp_path, capsys):
         out = tmp_path / "o"
         rc = main([
@@ -224,6 +238,17 @@ class TestQnormalCommands:
         assert main(["qnormal", "graph", str(path), "--out", str(tmp_path / "b")]) == 0
         assert len(read_json(tmp_path / "b" / "graph.json")["vertices"]) == 49
 
+    def test_negative_radius_is_an_input_error(self, tmp_path, capsys):
+        job = read_json(DATA / "plane_graph_job.json")
+        job["radius"] = -1
+        path = write_json(tmp_path / "job.json", job)
+        assert main(["qnormal", "graph", str(path), "--out", str(tmp_path / "a")]) == 2
+        del job["radius"]
+        path = write_json(tmp_path / "job.json", job)
+        assert main(["qnormal", "graph", str(path), "--radius", "-1", "--out", str(tmp_path / "b")]) == 2
+        assert capsys.readouterr().err.count("radius must be at least 0") == 2
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
     def test_blowup_job_matches_direct_graph(self, tmp_path):
         out = tmp_path / "run"
         rc = main(["qnormal", "blowup", str(DATA / "plane_blowup_job.json"), "--out", str(out)])
@@ -270,6 +295,12 @@ class TestQnormalCommands:
         trim = read_json(out / "trim.json")
         assert trim["kept_orbits"] == [0, 1]
         assert trim["dropped_orbits"] == [2]
+
+    def test_negative_search_bound_is_an_input_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["qnormal", "trim", str(DATA / "trim_job.json"), "--bound", "-1", "--out", str(out)]) == 2
+        assert "search bound must be at least 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_trim_without_generators_is_an_input_error(self, tmp_path, capsys):
         job = read_json(DATA / "trim_job.json")
@@ -625,3 +656,53 @@ def test_mutated_data_jobs_keep_the_exit_code_contract(tmp_path_factory, case):
         manifest = read_json(out / "manifest.json")
         assert manifest["outputs"] == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
         assert manifest["inputs"] == [str(path)]
+
+
+# (argv before the data file, data file, argv after it, the options to drive);
+# the graph and trim jobs lose their own radius field so that --radius decides
+OPTION_JOBS = (
+    (["homology"], "Z.json", ["--chain", "abelian:n=1..3"], ("--chain", "--primes", "--budget")),
+    (["farber"], "Z.json", ["--chain", "abelian:n=1..3", "--gammas", "a"], ("--chain", "--eps", "--budget")),
+    (["qnormal", "graph"], "plane_graph_job.json", [], ("--radius", "--budget")),
+    (["qnormal", "trim"], "trim_job.json", [], ("--radius", "--budget", "--bound")),
+    (["qnormal", "blowup"], "plane_blowup_job.json", [], ("--radius", "--budget")),
+)
+OPTION_VALUES = ("nan", "inf", "-1", "0", str(10**30), "", "x")
+# a chain value also goes in where a chain spec holds a number
+CHAIN_FORMS = ("{}", "abelian:n={}", "cyclic:n=1..{}", "cyclic:n=2,gen={}")
+
+
+@st.composite
+def option_runs(draw):
+    head, name, tail, options = draw(st.sampled_from(OPTION_JOBS))
+    option = draw(st.sampled_from(options))
+    value = draw(st.sampled_from(OPTION_VALUES))
+    if option == "--chain":
+        value = draw(st.sampled_from(CHAIN_FORMS)).format(value)
+    return head, name, tail + [option, value]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(option_runs())
+def test_option_values_keep_the_exit_code_contract(tmp_path_factory, case):
+    import chainlab.coset as coset
+
+    head, name, tail = case
+    work = tmp_path_factory.mktemp("options")
+    job = read_json(DATA / name)
+    job.pop("radius", None)
+    path = write_json(work / name, job)
+    out = work / "out"
+    err = io.StringIO()
+    # a radius of 10**30 grows a ball until it passes the vertex cap, and its
+    # representative words grow with it; a small cap keeps that run short
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+            mock.patch.object(coset, "DEFAULT_BUDGET", 200):
+        try:
+            code = main(head + [str(path)] + tail + ["--out", str(out)])
+        except SystemExit as exc:  # argparse refuses a value its type rejects
+            code = exc.code
+    assert code in (0, 2, 3, 4), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code in (2, 3):
+        assert not out.exists()

@@ -292,6 +292,22 @@ def test_parse_chain_spec_rejects(spec):
         parse_chain_spec(spec, F2)
 
 
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ("abelian:n=1..3,gen=5", "'gen'"),  # gen only on cyclic chains
+        ("cyclic:n=2..4,foo=3", "'foo'"),
+        ("abelian:n=1..3,n=7", "'n'"),  # would otherwise compute level 7 only
+        ("cyclic:n=2,gen=1,gen=2", "'gen'"),
+        ("abelian:n=", "'n'"),
+        ("cyclic:n=2,gen=2,4", "'4'"),  # a bare value continues only an n list
+    ],
+)
+def test_parse_chain_spec_names_the_offending_key(spec, key):
+    with pytest.raises(InputError, match=key):
+        parse_chain_spec(spec, F2)
+
+
 # ----------------------------------------------------------------- evidence
 
 

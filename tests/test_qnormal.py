@@ -2,6 +2,7 @@
 
 import pytest
 from coset_oracles import schreier_cyclic_kernel
+from qnormal_oracles import restart_loop_canonical, two_pass_ball
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,12 +27,11 @@ from chainlab.fixtures import (
     plane_context,
     plane_inner_ball,
     plane_line_ball,
-    plane_line_solver,
     plane_outer_graph,
     plane_presentation,
-    plane_rewriter,
 )
 from chainlab.qnormal import (
+    _ball,
     _edge_orbit,
     AbelianCosetSolver,
     ParabolicCosetSolver,
@@ -304,7 +304,7 @@ class TestCompleteGraphs:
         # Z / <a^2>: two cosets, a single edge in a single orbit.
         p = presentation(("a",), [])
         g = build_coset_graph(p, [(1, 1)], [(1,)])
-        assert g.kind == "complete"
+        assert g.completeness == "complete"
         assert len(g.vertices) == 2
         assert g.edges == ((0, 1, 0),)
         assert g.edge_orbits() == (0,)
@@ -328,9 +328,26 @@ class TestCompleteGraphs:
         assert g.vertex_of((1,)) == g.vertex_of((1, 2))  # sL = stL
         assert len({g.vertex_of(()), g.vertex_of((1,)), g.vertex_of((2, 1))}) == 3
 
+    def test_table_solver_reads_the_table(self):
+        # a complete graph looks cosets up through its solver; the lookups
+        # must be the table traces that complete graphs used before
+        g = build_coset_graph(coxeter_symmetric(4), [(1,), (3,)], [(1,), (2,), (3,)])
+        table = g.solver.table
+        assert g.vertices == g.solver.representatives
+        for w in [(), (2,), (2, 1), (1, 2, 3), (-2, 3, 2, -1), (3, 2, 1, 2)]:
+            assert g.vertex_of(w) == table.trace(1, inverse_word(w)) - 1
+            for vertex in range(len(g.vertices)):
+                fixed = table.trace(vertex + 1, inverse_word(w)) == vertex + 1
+                assert g._fixes_vertex(w, vertex) == fixed
+
     def test_budget_must_be_positive(self):
         with pytest.raises(InputError):
             build_coset_graph(plane_presentation(), [(1,)], [(1,)], budget=0)
+
+    @pytest.mark.parametrize("subgroup", [[(1,)], [(1,), (2,)]], ids=["ball", "complete"])
+    def test_negative_radius_is_refused(self, subgroup):
+        with pytest.raises(InputError, match="radius"):
+            build_coset_graph(plane_presentation(), subgroup, [(1,), (2,)], budget=5, radius=-1)
 
     def test_generating_set_must_be_nonempty(self):
         with pytest.raises(InputError):
@@ -340,7 +357,7 @@ class TestCompleteGraphs:
 class TestBallGraphs:
     def test_line_ball_shape(self):
         g = plane_line_ball()
-        assert g.kind == "ball"
+        assert g.completeness == "ball(3)"
         assert g.radius == 3
         assert len(g.vertices) == 7
         assert len(g.edges) == 13
@@ -405,7 +422,7 @@ class TestBallGraphs:
         c4 = raag_graph(4, [(1, 3), (1, 4), (2, 3), (2, 4)])
         p = c4.presentation()
         g = build_coset_graph(p, [(1,)], [(1,), (2,), (3,), (4,)], budget=10, radius=2)
-        assert g.kind == "ball"
+        assert g.completeness == "ball(2)"
         assert g.vertices[0] == ()
         assert g.vertex_of((1,)) == 0
         assert g.vertex_of((3,)) == g.vertex_of((1, 3))
@@ -433,6 +450,7 @@ def words_over(rank, max_size):
     return st.lists(st.sampled_from(letters), max_size=max_size).map(tuple)
 
 
+
 @st.composite
 def abelian_cases(draw):
     rank = draw(st.integers(1, 3))
@@ -441,13 +459,13 @@ def abelian_cases(draw):
 
 
 @st.composite
-def parabolic_cases(draw):
-    n = draw(st.integers(1, 4))
+def parabolic_cases(draw, max_vertices=4, max_letters=8):
+    n = draw(st.integers(1, max_vertices))
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     graph = RaagGraph(n, frozenset(draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else ()))
     vertices = draw(st.permutations(range(1, n + 1)))[: draw(st.integers(0, n))]
     letters = [v * draw(st.sampled_from((1, -1))) for v in vertices]
-    return graph, [(x,) for x in letters], draw(words_over(n, 8))
+    return graph, [(x,) for x in letters], draw(words_over(n, max_letters))
 
 
 def check_solver_agrees_with_rewriting(solver, ctx, subgroup_words, w):
@@ -486,9 +504,34 @@ class TestSolverRewriting:
         assert solver.to_subgroup_letters((1, 2)) is None
 
     def test_abelian_rewrites_through_the_lattice(self):
-        solver = plane_rewriter()  # <x, y^2> in Z^2
+        solver = AbelianCosetSolver(2, [(1,), (2, 2)])  # <x, y^2> in Z^2
         assert solver.to_subgroup_letters((2, 1, 2)) == (1, 2)
         assert solver.to_subgroup_letters((2,)) is None
+
+
+class TestReplacedAlgorithms:
+    """The one-pass constructions agree with the ones they replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(parabolic_cases(max_vertices=7, max_letters=14))
+    def test_parabolic_canonical_matches_the_restart_loop(self, case):
+        graph, subgroup_words, w = case
+        solver = ParabolicCosetSolver(graph, [x for (x,) in subgroup_words])
+        assert solver.canonical(w) == restart_loop_canonical(solver, w)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_ball_matches_the_two_pass_ball(self, data):
+        if data.draw(st.booleans(), label="parabolic"):
+            graph, subgroup_words, _ = data.draw(parabolic_cases(max_letters=0))
+            solver = ParabolicCosetSolver(graph, [x for (x,) in subgroup_words])
+        else:
+            graph, subgroup_words, _ = data.draw(abelian_cases())
+            solver = AbelianCosetSolver(graph.vertex_count, subgroup_words)
+        words = words_over(graph.vertex_count, 3)
+        generating_set = tuple(data.draw(st.lists(words, min_size=1, max_size=3), label="S"))
+        radius = data.draw(st.integers(0, 3), label="radius")
+        assert _ball(solver, generating_set, radius) == two_pass_ball(solver, generating_set, radius)
 
 
 class TestPathsAndTrim:
@@ -517,6 +560,13 @@ class TestPathsAndTrim:
         g = build_coset_graph(p, [(1,)], [(1,)], budget=3, radius=2)
         with pytest.raises(FactorizationNotFoundError):
             connectedness_path((2,), g, plane_context(), bound=4)
+
+    def test_negative_search_bound_is_refused(self):
+        g = plane_line_ball()
+        with pytest.raises(InputError, match="bound"):
+            connectedness_path((2,), g, plane_context(), bound=-1)
+        with pytest.raises(InputError, match="bound"):
+            trim_cocompact(g, [(1,), (2,)], plane_context(), bound=-1)
 
     def test_stabilizer_witnesses_fix_both_endpoints(self):
         g = plane_line_ball()
@@ -555,15 +605,7 @@ class TestBlowUp:
     def build(self, inner_radius=3):
         outer = plane_outer_graph()
         inner = plane_inner_ball(inner_radius)
-        return blow_up(
-            outer,
-            inner,
-            plane_connectors(),
-            plane_context(),
-            [(1,)],
-            plane_rewriter(),
-            solver=plane_line_solver(),
-        )
+        return blow_up(outer, inner, plane_connectors(), [(1,)])
 
     def test_vertices_are_the_product_cosets(self):
         b = self.build()
@@ -592,14 +634,7 @@ class TestBlowUp:
         outer = plane_outer_graph()
         inner = plane_inner_ball()
         with pytest.raises(InputError, match="missing connector"):
-            blow_up(
-                outer,
-                inner,
-                plane_connectors()[:1],
-                plane_context(),
-                [(1,)],
-                plane_rewriter(),
-            )
+            blow_up(outer, inner, plane_connectors()[:1], [(1,)])
 
     def test_unproven_connector_witness_is_refused(self):
         from chainlab.qnormal import Connector
@@ -617,20 +652,13 @@ class TestBlowUp:
             ),
         )
         with pytest.raises(InputError, match="witness"):
-            blow_up(outer, inner, bad, plane_context(), [(1,)], plane_rewriter())
+            blow_up(outer, inner, bad, [(1,)])
 
     def test_outer_graph_must_be_complete(self):
         inner = plane_inner_ball()
         ball = plane_line_ball()
         with pytest.raises(InputError, match="complete"):
-            blow_up(
-                ball,
-                inner,
-                plane_connectors(),
-                plane_context(),
-                [(1,)],
-                plane_rewriter(),
-            )
+            blow_up(ball, inner, plane_connectors(), [(1,)])
 
 
 class TestGraphJson:
@@ -700,8 +728,8 @@ def left_action_closed(graph):
     eset = set(graph.edges)
     for g in range(1, graph.presentation.rank + 1):
         for u, v, label in graph.edges:
-            gu = graph.table.trace(u + 1, (-g,)) - 1
-            gv = graph.table.trace(v + 1, (-g,)) - 1
+            gu = graph.solver.table.trace(u + 1, (-g,)) - 1
+            gv = graph.solver.table.trace(v + 1, (-g,)) - 1
             if (min(gu, gv), max(gu, gv), label) not in eset:
                 return False
     return True
@@ -771,4 +799,4 @@ def test_complete_graphs_are_closed_under_left_translation():
     for J in [(), (1,), (2, 4), (1, 2, 3)]:
         p = coxeter_symmetric(5)
         g = build_coset_graph(p, [(j,) for j in J], [(1,), (2, 3), (4, 3, -2)])
-        assert g.kind == "complete" and left_action_closed(g)
+        assert g.completeness == "complete" and left_action_closed(g)
