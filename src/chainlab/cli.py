@@ -1,6 +1,6 @@
 """Command-line surface: JSON/CSV file I/O, run manifests, persisted reports.
 
-Each command reads one input file, with job fields read through ``field``,
+Each command reads one input file, every field of it read through ``field``,
 and returns its exit code, its manifest parameters and its reports.  ``main``
 then writes the reports into the output directory, followed by a manifest
 recording the command, arguments, input path, parameters, tool version and
@@ -42,31 +42,34 @@ from .homology import (
     series_to_csv,
     series_to_json_dict,
 )
+from .intmat import IntMatrix
 from .qnormal import (
     ChainReport,
     Connector,
     CosetGraph,
     DEFAULT_RADIUS,
     DEFAULT_SEARCH_BOUND,
+    QNormalChainCertificate,
     QNormalReport,
     QNormalStatus,
+    QNormalWitness,
+    QNormalWitnessSet,
     blow_up,
     build_coset_graph,
-    chain_from_dict,
     chain_to_dict,
     compare_blowup_with_direct,
     graph_to_dict,
     trim_cocompact,
     verify_chain,
     verify_qnormal,
-    witness_set_from_dict,
 )
 from .raag import chain_commuting_report, exact_chain_contexts, is_inner_amenable_raag
 from .rebuilding import (
+    CWChainData,
+    RebuildingData,
     minimal_kappa,
     quality_check,
     quality_report_to_dict,
-    rebuilding_from_dict,
     validate_rebuilding,
 )
 from .words import Presentation, RaagGraph, Word, default_names, format_word, word
@@ -135,7 +138,8 @@ def _edge(value) -> tuple[int, int]:
     return index(i), index(j)
 
 
-def presentation_from_dict(d: dict) -> Presentation:
+def presentation_from_dict(value) -> Presentation:
+    d = json_object(value)
     return Presentation(field(d, "generators", strings), field(d, "relators", words, ()))
 
 
@@ -157,6 +161,40 @@ def connector(value) -> Connector:
         witness_in_subgroup=field(c, "witness_in_subgroup", word),
         witness_in_conjugate=field(c, "witness_in_conjugate", word),
     )
+
+
+def _witness(value) -> QNormalWitness:
+    w = json_object(value)
+    return QNormalWitness(*(field(w, key, word) for key in ("w", "expr_in_subgroup", "expr_in_conjugate")))
+
+
+def witness_set(value) -> QNormalWitnessSet:
+    d = json_object(value)
+    return QNormalWitnessSet(field(d, "ambient", presentation_from_dict), field(d, "subgroup_words", words),
+                             field(d, "generating_set", words), field(d, "witnesses", list_of(_witness)))
+
+
+def chain_from_dict(d: dict) -> QNormalChainCertificate:
+    return QNormalChainCertificate(field(d, "steps", list_of(witness_set)), field(d, "base", word))
+
+
+def int_matrix(value) -> IntMatrix:
+    """Rows stay lists: ``IntMatrix`` compares its data as lists of lists."""
+    m = json_object(value)
+    entries = field(m, "entries", list_of(lambda row: list(map(index, json_list(row)))))
+    return IntMatrix(field(m, "rows", index), field(m, "cols", index), list(entries))
+
+
+def chain_complex(value) -> CWChainData:
+    c = json_object(value)
+    return CWChainData(field(c, "alpha", index), field(c, "cell_counts", list_of(index)),
+                       field(c, "boundaries", list_of(int_matrix)))
+
+
+def rebuilding_from_dict(d: dict) -> RebuildingData:
+    big, small = (field(d, key, chain_complex) for key in ("big", "small"))
+    g, h, rho = (field(d, key, list_of(int_matrix)) for key in ("g", "h", "rho"))
+    return RebuildingData(big, small, g, h, rho)
 
 
 def parse_element(token: str, names: Sequence[str]) -> Word:
@@ -402,7 +440,7 @@ def cmd_qnormal_verify(args: argparse.Namespace) -> tuple[int, dict, dict]:
         report = verify_chain(cert, exact_chain_contexts(cert))
         payload = {"kind": "chain", **chain_report_dict(report)}
     elif "witnesses" in data:
-        ws = witness_set_from_dict(data)
+        ws = witness_set(data)
         report = verify_qnormal(ws, context_for(ws.ambient))
         payload = {"kind": "witness-set", **qnormal_report_dict(report)}
     else:
@@ -416,7 +454,7 @@ def cmd_qnormal_verify(args: argparse.Namespace) -> tuple[int, dict, dict]:
 
 def _graph_from_job(job: dict, args: argparse.Namespace) -> CosetGraph:
     return build_coset_graph(
-        presentation_from_dict(field(job, "group", json_object)),
+        field(job, "group", presentation_from_dict),
         field(job, "subgroup", words),
         field(job, "generating_set", words),
         budget=field(job, "budget", index, args.budget),

@@ -427,8 +427,9 @@ def build_abelian_chain(
     A generator's image in Z^b is its column in the free rows of the relator
     Smith transform U (rows rank.. of U, where rank counts the invariant
     factors).  The listed subgroup words are the n-th powers of the
-    generators and words generating the abelianization's torsion; together
-    they normally generate the kernel.
+    generators and words generating the abelianization's torsion; with
+    [G, G] they generate the kernel.  When b = 0 every level is G, and the
+    generators are listed to the first power, so no word grows with n.
     """
     moduli = [int(n) for n in moduli]
     if any(n < 1 for n in moduli):
@@ -441,7 +442,7 @@ def build_abelian_chain(
     labels = []
     for n in moduli:
         index = _cover_index([n] * len(free_rows), max_cosets)
-        subgroup = [power((g,), n) for g in range(1, p.rank + 1)] + torsion_words
+        subgroup = [power((g,), n if free_rows else 1) for g in range(1, p.rank + 1)] + torsion_words
         levels.append(_quotient_kernel(
             p, images, [n] * len(free_rows), subgroup, "abelian-quotient-kernel", index
         ))

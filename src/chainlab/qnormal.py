@@ -17,6 +17,10 @@ every pair of classes related by a chosen orbit representative, each carrying
 an infinite-intersection witness — and infers its solvers and context from
 the outer presentation.  Trimming keeps only the edge orbits met by one
 connecting path per generator.
+
+Certificates and graphs are written as JSON here (``chain_to_dict``,
+``graph_to_dict``); certificate files are read, with every field checked as
+outside input, by ``cli.chain_from_dict`` and ``cli.witness_set``.
 """
 
 from __future__ import annotations
@@ -1037,7 +1041,7 @@ def compare_blowup_with_direct(blowup: BlowUpGraph, direct: CosetGraph) -> Graph
     )
 
 
-# ----------------------------------------------------------------- JSON I/O
+# ------------------------------------------------------------- JSON writers
 
 
 def witness_set_to_dict(ws: QNormalWitnessSet) -> dict:
@@ -1059,43 +1063,11 @@ def witness_set_to_dict(ws: QNormalWitnessSet) -> dict:
     }
 
 
-def witness_set_from_dict(d: dict) -> QNormalWitnessSet:
-    try:
-        ambient = Presentation(
-            tuple(d["ambient"]["generators"]),
-            tuple(word(r) for r in d["ambient"]["relators"]),
-        )
-        witnesses = tuple(
-            QNormalWitness(
-                w=word(w["w"]),
-                expr_in_subgroup=word(w["expr_in_subgroup"]),
-                expr_in_conjugate=word(w["expr_in_conjugate"]),
-            )
-            for w in d["witnesses"]
-        )
-        return QNormalWitnessSet(
-            ambient=ambient,
-            subgroup_words=tuple(word(w) for w in d["subgroup_words"]),
-            generating_set=tuple(word(s) for s in d["generating_set"]),
-            witnesses=witnesses,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed witness-set data: {exc}") from None
-
-
 def chain_to_dict(cert: QNormalChainCertificate) -> dict:
     return {
         "base": list(cert.base),
         "steps": [witness_set_to_dict(s) for s in cert.steps],
     }
-
-
-def chain_from_dict(d: dict) -> QNormalChainCertificate:
-    try:
-        steps = tuple(witness_set_from_dict(s) for s in d["steps"])
-        return QNormalChainCertificate(steps=steps, base=word(d["base"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed chain-certificate data: {exc}") from None
 
 
 def graph_to_dict(g: CosetGraph) -> dict:

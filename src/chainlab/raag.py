@@ -174,26 +174,25 @@ def _depth_first_walk(g: RaagGraph, start: int) -> Optional[tuple[int, ...]]:
     """A depth-first edge walk meeting every vertex, cut at the last first visit.
 
     Consecutive entries are adjacent and backtracking repeats vertices; None
-    when the graph is disconnected.
+    when the graph is disconnected.  An explicit stack of (vertex, neighbours
+    left) lets it go deeper than the interpreter's recursion limit.
     """
     if not (1 <= start <= g.vertex_count):
         raise InputError(f"start vertex {start} out of range")
     visited = {start}
     walk = [start]
-
-    def dfs(u: int) -> None:
-        for v in g.neighbors(u):
-            if v not in visited:
-                visited.add(v)
-                walk.append(v)
-                dfs(v)
-                walk.append(u)
-
-    dfs(start)
-    if len(visited) != g.vertex_count:
-        return None
-    last_new = max(walk.index(v) for v in visited)
-    return tuple(walk[: last_new + 1])
+    stack = [(start, iter(g.neighbors(start)))]
+    while stack and len(visited) < g.vertex_count:
+        v = next((v for v in stack[-1][1] if v not in visited), None)
+        if v is None:  # the top vertex is done: step back to the one it was reached from
+            stack.pop()
+            if stack:
+                walk.append(stack[-1][0])
+        else:
+            visited.add(v)
+            walk.append(v)
+            stack.append((v, iter(g.neighbors(v))))
+    return tuple(walk) if len(visited) == g.vertex_count else None
 
 
 def _raag_commuting_proof(u: Word, v: Word, g: RaagGraph) -> CommutingProof:

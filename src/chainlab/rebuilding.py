@@ -11,13 +11,16 @@ norm bounds log||g_j||, log||h_j||, log||rho_{j-1}||, log||d'_j|| <=
 kappa*(1 + log T), with natural logarithms and l2 operator norms throughout.
 minimal_kappa inverts the finitely many inequalities to report the exact
 threshold.
+
+Rebuilding data is written as JSON here (``rebuilding_to_dict``) and read,
+with every field checked as outside input, by ``cli.rebuilding_from_dict``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import index, mul
+from operator import mul
 
 from .errors import InputError, VerificationFailure
 from .intmat import IntMatrix
@@ -380,18 +383,11 @@ def subdivided_circle_rebuilding(n: int) -> RebuildingData:
     )
 
 
-# ------------------------------------------------------------------ JSON I/O
+# ------------------------------------------------------------- JSON writers
 
 
 def _matrix_to_json(m: IntMatrix) -> dict:
     return {"rows": m.rows, "cols": m.cols, "entries": [list(r) for r in m.data]}
-
-
-def _matrix_from_json(d: dict) -> IntMatrix:
-    try:
-        return IntMatrix(index(d["rows"]), index(d["cols"]), [list(map(index, r)) for r in d["entries"]])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed matrix data: {exc}") from None
 
 
 def complex_to_dict(c: CWChainData) -> dict:
@@ -402,17 +398,6 @@ def complex_to_dict(c: CWChainData) -> dict:
     }
 
 
-def complex_from_dict(d: dict) -> CWChainData:
-    try:
-        return CWChainData(
-            alpha=index(d["alpha"]),
-            cell_counts=tuple(map(index, d["cell_counts"])),
-            boundaries=tuple(_matrix_from_json(b) for b in d["boundaries"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed chain-complex data: {exc}") from None
-
-
 def rebuilding_to_dict(r: RebuildingData) -> dict:
     return {
         "big": complex_to_dict(r.Y),
@@ -421,19 +406,6 @@ def rebuilding_to_dict(r: RebuildingData) -> dict:
         "h": [_matrix_to_json(m) for m in r.h_maps],
         "rho": [_matrix_to_json(m) for m in r.rho_maps],
     }
-
-
-def rebuilding_from_dict(d: dict) -> RebuildingData:
-    try:
-        return RebuildingData(
-            Y=complex_from_dict(d["big"]),
-            Yprime=complex_from_dict(d["small"]),
-            g_maps=tuple(_matrix_from_json(m) for m in d["g"]),
-            h_maps=tuple(_matrix_from_json(m) for m in d["h"]),
-            rho_maps=tuple(_matrix_from_json(m) for m in d["rho"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed rebuilding data: {exc}") from None
 
 
 def quality_report_to_dict(q: QualityReport) -> dict:

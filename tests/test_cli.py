@@ -207,6 +207,26 @@ class TestQnormalCommands:
         assert report["status"] == "failed"
         assert read_json(out / "manifest.json")["outputs"] == ["verify_report.json"]
 
+    @pytest.mark.parametrize("names", ["acd", [1, 2, 3]], ids=["string", "integers"])
+    def test_certificate_ambient_names_must_be_a_list_of_strings(self, names, tmp_path, capsys):
+        cert = read_json(DATA / "golden_chain.json")
+        cert["steps"][0]["ambient"]["generators"] = names
+        out = tmp_path / "run"
+        assert main(["qnormal", "verify", str(write_json(tmp_path / "cert.json", cert)), "--out", str(out)]) == 2
+        assert "field 'steps': field 'ambient': field 'generators'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_certificate_ambient_without_relators_is_free(self, tmp_path):
+        ws = {
+            "ambient": {"generators": ["a"]},
+            "subgroup_words": [[1]],
+            "generating_set": [[1]],
+            "witnesses": [{"w": [1], "expr_in_subgroup": [1], "expr_in_conjugate": [1]}],
+        }
+        out = tmp_path / "run"
+        assert main(["qnormal", "verify", str(write_json(tmp_path / "ws.json", ws)), "--out", str(out)]) == 0
+        assert read_json(out / "verify_report.json")["status"] == "proven"
+
     def test_verify_refuses_a_file_that_is_no_certificate(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["qnormal", "verify", str(DATA / "Z.json"), "--out", str(out)]) == 2
@@ -455,6 +475,15 @@ class TestRebuildCommand:
         assert report["validation"]["all_pass"] is False
         assert {"name": "homotopy degree 0", "passed": False} in report["validation"]["checks"]
 
+    def test_maps_that_are_no_list_are_an_input_error(self, tmp_path, capsys):
+        data = read_json(DATA / "identity.json")
+        data["g"] = {}
+        out = tmp_path / "run"
+        assert main(["rebuild", "check", str(write_json(tmp_path / "g.json", data)), "--T", "1",
+                     "--out", str(out)]) == 2
+        assert "field 'g'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fractional_matrix_entry_is_refused_not_truncated(self, tmp_path, capsys):
         data = read_json(DATA / "subdiv_circle_8.json")
         entries = data["big"]["boundaries"][0]["entries"]
@@ -463,7 +492,7 @@ class TestRebuildCommand:
         path = write_json(tmp_path / "frac.json", data)
         rc = main(["rebuild", "check", str(path), "--T", "8", "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert "malformed" in capsys.readouterr().err
+        assert "field 'big': field 'boundaries': field 'entries'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
 
@@ -630,6 +659,10 @@ FUZZ_CASES = [
 ]
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 @st.composite
 def mutated_jobs(draw):
     head, job, tail, paths = draw(st.sampled_from(FUZZ_CASES))
@@ -656,6 +689,8 @@ def test_mutated_data_jobs_keep_the_exit_code_contract(tmp_path_factory, case):
         manifest = read_json(out / "manifest.json")
         assert manifest["outputs"] == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
         assert manifest["inputs"] == [str(path)]
+        for written in out.glob("*.json"):  # strict JSON: no NaN or Infinity
+            json.loads(written.read_text(), parse_constant=_refuse_constant)
 
 
 # (argv before the data file, data file, argv after it, the options to drive);

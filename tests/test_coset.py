@@ -176,6 +176,15 @@ def test_abelian_chain_rejects_bad_moduli():
         build_abelian_chain(Z, [0])
 
 
+@pytest.mark.parametrize("n", [2_000_000, 10**30])
+def test_finite_abelianization_lists_words_that_do_not_grow(n):
+    # S3 abelianizes to Z/2, so every level is S3 itself whatever n is
+    chain = build_abelian_chain(S3, [n])
+    assert chain.indices == (1,)
+    assert chain.levels[0].subgroup_generators == build_abelian_chain(S3, [2]).levels[0].subgroup_generators
+    assert max(map(len, chain.levels[0].subgroup_generators)) <= 2
+
+
 def test_cyclic_cover_chain():
     chain = cyclic_cover_chain(F2, [2, 3, 4])
     assert chain.indices == (2, 3, 4)

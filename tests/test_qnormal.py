@@ -6,6 +6,7 @@ from qnormal_oracles import restart_loop_canonical, two_pass_ball
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainlab.cli import chain_from_dict, witness_set
 from chainlab.contexts import (
     EqualityVerdict,
     RaagContext,
@@ -41,7 +42,6 @@ from chainlab.qnormal import (
     QNormalWitnessSet,
     blow_up,
     build_coset_graph,
-    chain_from_dict,
     chain_to_dict,
     compare_blowup_with_direct,
     connectedness_path,
@@ -52,7 +52,6 @@ from chainlab.qnormal import (
     verify_chain,
     verify_qnormal,
     weakest,
-    witness_set_from_dict,
     witness_set_to_dict,
 )
 from chainlab.words import (
@@ -289,10 +288,10 @@ class TestChains:
     def test_witness_set_json_roundtrip(self):
         cert, _ = golden_chain()
         ws = cert.steps[1]
-        assert witness_set_from_dict(witness_set_to_dict(ws)) == ws
+        assert witness_set(witness_set_to_dict(ws)) == ws
 
     def test_malformed_chain_dict_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="missing field 'steps'"):
             chain_from_dict({"base": [1]})
 
 

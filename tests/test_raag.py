@@ -93,6 +93,35 @@ class TestInnerAmenability:
         assert cone_vertices(cycle4()) == ()
 
 
+def _recursive_walk(g, start):
+    """The recursive depth-first walk the iterative one replaced, kept as an oracle."""
+    visited = {start}
+    walk = [start]
+
+    def dfs(u):
+        for v in g.neighbors(u):
+            if v not in visited:
+                visited.add(v)
+                walk.append(v)
+                dfs(v)
+                walk.append(u)
+
+    dfs(start)
+    if len(visited) != g.vertex_count:
+        return None
+    last_new = max(walk.index(v) for v in visited)
+    return tuple(walk[: last_new + 1])
+
+
+@st.composite
+def graphs_with_a_start(draw):
+    """Any graph on 1-12 vertices, connected or not, and a start vertex."""
+    n = draw(st.integers(1, 12))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return RaagGraph(n, frozenset(edges)), draw(st.integers(1, n))
+
+
 class TestCommutingWalks:
     """The depth-first walk, read off the generators of the chain-commuting sequence."""
 
@@ -134,6 +163,17 @@ class TestCommutingWalks:
     def test_bad_start_raises(self):
         with pytest.raises(InputError):
             chain_commuting_sequence(path3(), start=5)
+
+    @settings(max_examples=400, deadline=None)
+    @given(graphs_with_a_start())
+    def test_walk_matches_the_recursive_walk(self, case):
+        g, start = case
+        assert raag_module._depth_first_walk(g, start) == _recursive_walk(g, start)
+
+    def test_a_path_deeper_than_the_recursion_limit_is_walked(self):
+        n = 2000
+        g = raag_graph(n, [(i, i + 1) for i in range(1, n)])
+        assert self.walk(g) == tuple(range(1, n + 1))
 
 
 class TestChainCommutingSequences:

@@ -7,20 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainlab.cli import chain_complex, rebuilding_from_dict
 from chainlab.errors import InputError, VerificationFailure
 from chainlab.intmat import IntMatrix
 from chainlab.rebuilding import (
     CWChainData,
     RebuildingData,
     circle_complex,
-    complex_from_dict,
     complex_to_dict,
     identity_rebuilding,
     minimal_kappa,
     operator_norm,
     quality_check,
     quality_report_to_dict,
-    rebuilding_from_dict,
     rebuilding_to_dict,
     subdivided_circle_complex,
     subdivided_circle_rebuilding,
@@ -311,7 +310,7 @@ class TestQuality:
 class TestJson:
     def test_complex_roundtrip(self):
         c = subdivided_circle_complex(5)
-        again = complex_from_dict(complex_to_dict(c))
+        again = chain_complex(complex_to_dict(c))
         assert again.cell_counts == c.cell_counts
         assert again.boundary(1) == c.boundary(1)
 
@@ -323,9 +322,9 @@ class TestJson:
         assert again.rho_maps == d.rho_maps
 
     def test_malformed_rejected(self):
-        with pytest.raises(InputError):
-            complex_from_dict({"alpha": 1})
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="missing field 'cell_counts'"):
+            chain_complex({"alpha": 1})
+        with pytest.raises(InputError, match="missing field 'small'"):
             rebuilding_from_dict({"big": complex_to_dict(circle_complex())})
 
     def test_quality_report_shows_both_sides(self):
