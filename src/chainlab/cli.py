@@ -21,7 +21,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from operator import index, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -127,15 +127,30 @@ def list_of(parse: Callable) -> Callable:
     return lambda value: tuple(map(parse, json_list(value)))
 
 
+def integer(value) -> int:
+    """A JSON integer; ``true`` and ``false`` are refused, though Python counts them as ints."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 json_object = _instance_of(dict, "a JSON object")
 json_list = _instance_of(list, "a JSON list")
-words = list_of(word)
+integers = list_of(integer)
 strings = list_of(_instance_of(str, "a string"))
+
+
+def json_word(value) -> Word:
+    """A word written as a JSON list of integers."""
+    return word(integers(value))
+
+
+words = list_of(json_word)
 
 
 def _edge(value) -> tuple[int, int]:
     i, j = json_list(value)
-    return index(i), index(j)
+    return integer(i), integer(j)
 
 
 def presentation_from_dict(value) -> Presentation:
@@ -144,7 +159,7 @@ def presentation_from_dict(value) -> Presentation:
 
 
 def raag_from_dict(d: dict) -> tuple[RaagGraph, tuple[str, ...]]:
-    n = field(d, "vertices", index)
+    n = field(d, "vertices", integer)
     g = RaagGraph(n, frozenset(field(d, "edges", list_of(_edge), ())))
     names = field(d, "names", strings, default_names(n))
     if len(names) != n:
@@ -155,17 +170,17 @@ def raag_from_dict(d: dict) -> tuple[RaagGraph, tuple[str, ...]]:
 def connector(value) -> Connector:
     c = json_object(value)
     return Connector(
-        outer_label=field(c, "outer_label", index),
-        g_f=field(c, "g_f", word),
-        witness=field(c, "witness", word),
-        witness_in_subgroup=field(c, "witness_in_subgroup", word),
-        witness_in_conjugate=field(c, "witness_in_conjugate", word),
+        outer_label=field(c, "outer_label", integer),
+        g_f=field(c, "g_f", json_word),
+        witness=field(c, "witness", json_word),
+        witness_in_subgroup=field(c, "witness_in_subgroup", json_word),
+        witness_in_conjugate=field(c, "witness_in_conjugate", json_word),
     )
 
 
 def _witness(value) -> QNormalWitness:
     w = json_object(value)
-    return QNormalWitness(*(field(w, key, word) for key in ("w", "expr_in_subgroup", "expr_in_conjugate")))
+    return QNormalWitness(*(field(w, key, json_word) for key in ("w", "expr_in_subgroup", "expr_in_conjugate")))
 
 
 def witness_set(value) -> QNormalWitnessSet:
@@ -175,19 +190,19 @@ def witness_set(value) -> QNormalWitnessSet:
 
 
 def chain_from_dict(d: dict) -> QNormalChainCertificate:
-    return QNormalChainCertificate(field(d, "steps", list_of(witness_set)), field(d, "base", word))
+    return QNormalChainCertificate(field(d, "steps", list_of(witness_set)), field(d, "base", json_word))
 
 
 def int_matrix(value) -> IntMatrix:
     """Rows stay lists: ``IntMatrix`` compares its data as lists of lists."""
     m = json_object(value)
-    entries = field(m, "entries", list_of(lambda row: list(map(index, json_list(row)))))
-    return IntMatrix(field(m, "rows", index), field(m, "cols", index), list(entries))
+    entries = field(m, "entries", list_of(lambda row: list(integers(row))))
+    return IntMatrix(field(m, "rows", integer), field(m, "cols", integer), list(entries))
 
 
 def chain_complex(value) -> CWChainData:
     c = json_object(value)
-    return CWChainData(field(c, "alpha", index), field(c, "cell_counts", list_of(index)),
+    return CWChainData(field(c, "alpha", integer), field(c, "cell_counts", integers),
                        field(c, "boundaries", list_of(int_matrix)))
 
 
@@ -457,8 +472,8 @@ def _graph_from_job(job: dict, args: argparse.Namespace) -> CosetGraph:
         field(job, "group", presentation_from_dict),
         field(job, "subgroup", words),
         field(job, "generating_set", words),
-        budget=field(job, "budget", index, args.budget),
-        radius=field(job, "radius", index, args.radius),
+        budget=field(job, "budget", integer, args.budget),
+        radius=field(job, "radius", integer, args.radius),
         witnesses=field(job, "witnesses", words, None),
     )
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import InputError, UndecidableContextError
-from .intmat import IntMatrix, Lattice, smith_normal_form
+from .intmat import Lattice
 from .words import (
     Presentation,
     RaagGraph,
@@ -225,20 +225,23 @@ def power_word(exponents: Sequence[int]) -> Word:
     return tuple(out)
 
 
-def relator_exponent_matrix(p: Presentation) -> IntMatrix:
-    """Columns are the exponent vectors of the relators (rank x #relators)."""
-    cols = [exponent_counts(r, p.rank) for r in p.relators]
-    return IntMatrix(p.rank, len(cols), [[c[i] for c in cols] for i in range(p.rank)])
-
-
 @lru_cache(maxsize=None)
 def _relator_lattice(p: Presentation) -> Lattice:
     return Lattice(p.rank, [exponent_counts(r, p.rank) for r in p.relators])
 
 
 @lru_cache(maxsize=None)
-def _relator_snf(p: Presentation):
-    return smith_normal_form(relator_exponent_matrix(p), transforms=True)
+def free_abelianization(p: Presentation) -> tuple[tuple[int, ...], ...]:
+    """Rows K of a map from Z^rank onto Z^b, b the torsion-free rank of the abelianization.
+
+    K is a basis of the integer relations among the generators' rows of
+    relator exponents: K v = 0 for every relator vector v.  Its kernel is the
+    saturation of the relator lattice, so generator g -> column g of K is the
+    abelianization followed by the quotient by its torsion.
+    """
+    vectors = [exponent_counts(r, p.rank) for r in p.relators]
+    rows = [[v[g] for v in vectors] for g in range(p.rank)]
+    return tuple(map(tuple, Lattice(len(vectors), rows).relations))
 
 
 @dataclass(frozen=True)
@@ -259,16 +262,15 @@ def abelianized_image(w: Sequence[int], p: Presentation) -> AbelianizedImage:
 def torsion_basis_words(p: Presentation) -> tuple[Word, ...]:
     """Words whose abelianized images generate the torsion subgroup.
 
-    For each invariant factor d > 1 of the abelianization, the corresponding
-    basis vector pulled back through the Smith transform gives an explicit
-    generator word (a product of generator powers).
+    The torsion subgroup is the saturation of the relator lattice modulo the
+    lattice, and the saturation is the kernel of ``free_abelianization``.  The
+    relations among K's columns are a basis of that kernel; those outside the
+    relator lattice are written as words (products of generator powers).
     """
-    res = _relator_snf(p)
-    return tuple(
-        power_word([res.U_inv.data[r][i] for r in range(p.rank)])
-        for i, f in enumerate(res.invariant_factors)
-        if f > 1
-    )
+    k = free_abelianization(p)
+    columns = [[row[g] for row in k] for g in range(p.rank)]
+    lattice = _relator_lattice(p)
+    return tuple(power_word(t) for t in Lattice(len(k), columns).relations if not lattice.contains(t))
 
 
 # ------------------------------------------------------- order certificates

@@ -41,7 +41,7 @@ from functools import cached_property
 from math import gcd, prod
 from typing import Optional, Sequence
 
-from .contexts import WordProblemContext, _relator_snf, exponent_counts, torsion_basis_words
+from .contexts import WordProblemContext, exponent_counts, free_abelianization, torsion_basis_words
 from .errors import BudgetExceededError, InputError
 from .words import Presentation, Word, free_reduce, power
 
@@ -424,20 +424,18 @@ def build_abelian_chain(
     """Levels are kernels of the maps onto (Z/n)^b through the torsion-free
     abelianization Z^b, one per modulus n.
 
-    A generator's image in Z^b is its column in the free rows of the relator
-    Smith transform U (rows rank.. of U, where rank counts the invariant
-    factors).  The listed subgroup words are the n-th powers of the
-    generators and words generating the abelianization's torsion; with
-    [G, G] they generate the kernel.  When b = 0 every level is G, and the
-    generators are listed to the first power, so no word grows with n.
+    A generator's image in Z^b is its column of ``free_abelianization``.
+    The listed subgroup words are the n-th powers of the generators and
+    words generating the abelianization's torsion; with [G, G] they generate
+    the kernel.  When b = 0 every level is G, and the generators are listed
+    to the first power, so no word grows with n.
     """
     moduli = [int(n) for n in moduli]
     if any(n < 1 for n in moduli):
         raise InputError("moduli must be positive")
-    res = _relator_snf(p)
-    free_rows = res.U.data[res.rank:]
+    free_rows = free_abelianization(p)
     images = [[row[g] for row in free_rows] for g in range(p.rank)]
-    torsion_words = [w for w in torsion_basis_words(p) if w]
+    torsion_words = list(torsion_basis_words(p))
     levels = []
     labels = []
     for n in moduli:

@@ -1,19 +1,19 @@
 """Exact integer matrices: Smith normal form, ``Lattice`` and rank oracles.
 
 Everything here is arbitrary-precision (plain Python ints); floating point
-is never used.  ``smith_normal_form`` gives invariant factors and, on
-request, checked unimodular transforms.  ``Lattice`` answers the
-integer-lattice questions (reduce / contains / in_saturation / solve) from
-echelon rows with a coordinate transform, with no Smith normal form.
-``rank_over_q`` (fraction-free Bareiss) and ``rank_mod_p`` are kept as test
-oracles for the homology path.
+is never used.  ``smith_normal_form`` gives invariant factors only.
+``Lattice`` answers the integer-lattice questions (reduce / contains /
+in_saturation / solve) from echelon rows with a coordinate transform, with
+no Smith normal form, and lists a basis of the integer relations among its
+inputs.  ``rank_over_q`` (fraction-free Bareiss) and ``rank_mod_p`` are kept
+as test oracles for the homology path.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import prod
+from math import gcd, prod
 from typing import Iterable, Optional, Sequence
 
 
@@ -105,19 +105,11 @@ class SNFResult:
     """Smith normal form data.
 
     invariant_factors: positive integers d_1 | d_2 | ... (including any 1s);
-    rank is their count.  When transforms were requested, U (rows x rows) and
-    V (cols x cols) are unimodular with U @ m @ V diagonal(invariant_factors),
-    and transforms_checked records that this identity was re-multiplied and
-    verified exactly.  U_inv is the inverse of U (used to pull basis vectors
-    of the transformed side back to original coordinates).
+    rank is their count.
     """
 
     invariant_factors: tuple[int, ...]
     rank: int
-    U: Optional[IntMatrix] = None
-    V: Optional[IntMatrix] = None
-    U_inv: Optional[IntMatrix] = None
-    transforms_checked: bool = False
 
 
 def _row_op_add(m: list[list[int]], i: int, j: int, q: int) -> None:
@@ -136,52 +128,16 @@ def _col_op_add(m: list[list[int]], i: int, j: int, q: int) -> None:
             row[i] += q * v
 
 
-def smith_normal_form(m: IntMatrix, transforms: bool = False) -> SNFResult:
-    """Diagonalize m over the integers with the divisibility chain d_1 | d_2 | ...
+def smith_normal_form(m: IntMatrix) -> SNFResult:
+    """The invariant factors d_1 | d_2 | ... of m over the integers.
 
     Pivoting always selects a smallest-magnitude nonzero entry of the working
     submatrix and reduces rows/columns through extended-gcd combinations, which
-    keeps intermediate entries small.  All operations are unimodular and, when
-    requested, accumulated into U, V together with U's inverse.
+    keeps intermediate entries small.  The diagonal this leaves is then put
+    into divisibility order by gcd/lcm steps on adjacent magnitudes.
     """
     a = [row[:] for row in m.data]
     rows, cols = m.rows, m.cols
-    track = transforms
-    U = IntMatrix.identity(rows).data if track else None
-    Ui = IntMatrix.identity(rows).data if track else None  # inverse of U
-    V = IntMatrix.identity(cols).data if track else None
-
-    def row_add(i: int, j: int, q: int) -> None:
-        _row_op_add(a, i, j, q)
-        if track:
-            _row_op_add(U, i, j, q)  # U <- E U
-            _col_op_add(Ui, j, i, -q)  # Ui <- Ui E^{-1}
-
-    def row_swap(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        if track:
-            U[i], U[j] = U[j], U[i]
-            for r in Ui:
-                r[i], r[j] = r[j], r[i]
-
-    def row_negate(i: int) -> None:
-        a[i] = [-v for v in a[i]]
-        if track:
-            U[i] = [-v for v in U[i]]
-            for r in Ui:
-                r[i] = -r[i]
-
-    def col_add(i: int, j: int, q: int) -> None:
-        _col_op_add(a, i, j, q)
-        if track:
-            _col_op_add(V, i, j, q)
-
-    def col_swap(i: int, j: int) -> None:
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        if track:
-            for r in V:
-                r[i], r[j] = r[j], r[i]
 
     def gen_row_op(i: int, j: int, x: int, y: int, u: int, v: int) -> None:
         """(row_i, row_j) <- (x row_i + y row_j, u row_i + v row_j), xv - yu = 1."""
@@ -189,27 +145,12 @@ def smith_normal_form(m: IntMatrix, transforms: bool = False) -> SNFResult:
             p, q = a[i][k], a[j][k]
             a[i][k] = x * p + y * q
             a[j][k] = u * p + v * q
-        if track:
-            for k in range(rows):
-                p, q = U[i][k], U[j][k]
-                U[i][k] = x * p + y * q
-                U[j][k] = u * p + v * q
-            # inverse of [[x, y], [u, v]] is [[v, -y], [-u, x]] acting on columns
-            for r in Ui:
-                p, q = r[i], r[j]
-                r[i] = v * p - u * q
-                r[j] = -y * p + x * q
 
     def gen_col_op(i: int, j: int, x: int, y: int, u: int, v: int) -> None:
         for r in a:
             p, q = r[i], r[j]
             r[i] = x * p + y * q
             r[j] = u * p + v * q
-        if track:
-            for r in V:
-                p, q = r[i], r[j]
-                r[i] = x * p + y * q
-                r[j] = u * p + v * q
 
     def smallest_entry(t: int) -> Optional[tuple[int, int]]:
         best = None
@@ -234,9 +175,10 @@ def smith_normal_form(m: IntMatrix, transforms: bool = False) -> SNFResult:
             break
         i, j = pos
         if i != t:
-            row_swap(t, i)
+            a[t], a[i] = a[i], a[t]
         if j != t:
-            col_swap(t, j)
+            for r in a:
+                r[t], r[j] = r[j], r[t]
         while True:
             # clear column t with gcd steps
             for k in range(t + 1, rows):
@@ -245,7 +187,7 @@ def smith_normal_form(m: IntMatrix, transforms: bool = False) -> SNFResult:
                     continue
                 p = a[t][t]
                 if v % p == 0:
-                    row_add(k, t, -(v // p))
+                    _row_op_add(a, k, t, -(v // p))
                 else:
                     g, x, y = xgcd(p, v)
                     gen_row_op(t, k, x, y, -(v // g), p // g)
@@ -257,61 +199,27 @@ def smith_normal_form(m: IntMatrix, transforms: bool = False) -> SNFResult:
                     continue
                 p = a[t][t]
                 if v % p == 0:
-                    col_add(k, t, -(v // p))
+                    _col_op_add(a, k, t, -(v // p))
                 else:
                     g, x, y = xgcd(p, v)
                     gen_col_op(t, k, x, y, -(v // g), p // g)
                     dirty = True
             if not dirty and all(a[k][t] == 0 for k in range(t + 1, rows)):
                 break
-        if a[t][t] < 0:
-            row_negate(t)
         t += 1
 
-    # enforce the divisibility chain d_i | d_{i+1}
+    # diag(p, q) and diag(gcd, lcm) have the same invariant factors
+    d = [abs(a[i][i]) for i in range(t)]
     changed = True
     while changed:
         changed = False
         for i in range(t - 1):
-            p, q = a[i][i], a[i + 1][i + 1]
-            if q % p != 0:
+            p, q = d[i], d[i + 1]
+            if q % p:
+                g = gcd(p, q)
+                d[i], d[i + 1] = g, p // g * q
                 changed = True
-                # fold d_{i+1} into row i, then re-reduce the 2x2 block
-                row_add(i, i + 1, 1)
-                g, x, y = xgcd(p, q)
-                gen_col_op(i, i + 1, x, y, -(q // g), p // g)
-                # block is now [[g, 0], [u, lcm-ish]]; clear below the pivot
-                v = a[i + 1][i]
-                if v % g == 0:
-                    row_add(i + 1, i, -(v // g))
-                else:  # pragma: no cover - xgcd pivot already divides
-                    raise AssertionError("pivot must divide after gcd step")
-                if a[i][i] < 0:
-                    row_negate(i)
-                if a[i + 1][i + 1] < 0:
-                    row_negate(i + 1)
-
-    factors = tuple(a[i][i] for i in range(t) if a[i][i] != 0)
-    checked = False
-    Um = Vm = Uim = None
-    if track:
-        Um = IntMatrix(rows, rows, U)
-        Vm = IntMatrix(cols, cols, V)
-        Uim = IntMatrix(rows, rows, Ui)
-        d = Um @ m @ Vm
-        ok = True
-        for i in range(rows):
-            for j in range(cols):
-                want = factors[i] if i == j and i < len(factors) else 0
-                if d.data[i][j] != want:
-                    ok = False
-        ident = Um @ Uim
-        ok = ok and ident == IntMatrix.identity(rows)
-        checked = ok
-        if not ok:  # pragma: no cover - defensive
-            raise AssertionError("Smith normal form transform verification failed")
-    return SNFResult(invariant_factors=factors, rank=len(factors),
-                     U=Um, V=Vm, U_inv=Uim, transforms_checked=checked)
+    return SNFResult(invariant_factors=tuple(d), rank=t)
 
 
 def rank_over_q(m: IntMatrix) -> int:
@@ -386,6 +294,12 @@ class Lattice:
     at the columns ``pivots``, and ``coefficients[i]`` writes ``rows[i]`` as
     an integer combination of the input vectors.  Every query is one exact
     floor-division sweep down the rows.
+
+    An input that reduces to zero (a zero input too) leaves its coefficient
+    vector t in ``relations``: sum t_k * vectors[k] = 0.  Each insertion is
+    unimodular, so ``coefficients`` and ``relations`` together are the rows
+    of a unimodular matrix, and ``relations`` is a basis of all integer
+    relations among the inputs.
     """
 
     def __init__(self, dim: int, vectors: Iterable[Sequence[int]]):
@@ -397,9 +311,8 @@ class Lattice:
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []  # increasing
         self.coefficients: list[list[int]] = []
+        self.relations: list[list[int]] = []
         for k, v in enumerate(vectors):
-            if not any(v):  # _insert would return at once
-                continue
             t = [0] * len(vectors)
             t[k] = 1
             self._insert(v, t)
@@ -409,10 +322,14 @@ class Lattice:
         self.pivot_product = prod(row[j] for row, j in zip(self.rows, self.pivots))
 
     def _insert(self, v: list[int], t: list[int]) -> None:
-        """Add v, which is t on the input vectors, keeping rows and coefficients in step."""
+        """Add v, which is t on the input vectors, keeping rows and coefficients in step.
+
+        If v reduces to zero, t is a relation among the inputs and is kept.
+        """
         while True:
             j = next((k for k, x in enumerate(v) if x), None)
             if j is None:
+                self.relations.append(t)
                 return
             idx = bisect_left(self.pivots, j)
             if idx == len(self.pivots) or self.pivots[idx] != j:

@@ -48,3 +48,19 @@ def bench_imports():
 @pytest.mark.parametrize("module, name", bench_imports(), ids=lambda v: v)
 def test_benchmark_import_exists(module, name):
     assert hasattr(importlib.import_module(module), name)
+
+
+def test_tracer_reads_smith_normal_form_results(tmp_path):
+    """The tracer's Smith normal form hook reads ``invariant_factors`` and the
+    matrix's ``rows``, ``cols`` and ``data``; a change to either surfaces here."""
+    from chainlab import cli
+
+    data = Path(__file__).resolve().parent.parent / "data" / "Z2.json"
+    t = tracer.Tracer()
+    t.install()
+    try:
+        code = cli.main(["homology", str(data), "--chain", "abelian:n=1..3", "--out", str(tmp_path)])
+    finally:
+        t.uninstall()
+    assert code == 0
+    assert t.counters["intmat.smith_normal_form.factors"] > 0

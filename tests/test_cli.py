@@ -227,6 +227,23 @@ class TestQnormalCommands:
         assert main(["qnormal", "verify", str(write_json(tmp_path / "ws.json", ws)), "--out", str(out)]) == 0
         assert read_json(out / "verify_report.json")["status"] == "proven"
 
+    def test_witness_word_that_is_an_object_is_an_input_error(self, tmp_path, capsys):
+        cert = read_json(DATA / "golden_chain.json")
+        for witness in cert["steps"][0]["witnesses"]:
+            witness["w"] = {}
+        out = tmp_path / "run"
+        assert main(["qnormal", "verify", str(write_json(tmp_path / "cert.json", cert)), "--out", str(out)]) == 2
+        assert "field 'witnesses': field 'w': expected a JSON list, got {}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_boolean_letter_is_an_input_error(self, tmp_path, capsys):
+        cert = read_json(DATA / "golden_chain.json")
+        cert["base"] = [True]
+        out = tmp_path / "run"
+        assert main(["qnormal", "verify", str(write_json(tmp_path / "cert.json", cert)), "--out", str(out)]) == 2
+        assert "field 'base': expected an integer, got True" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_verify_refuses_a_file_that_is_no_certificate(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["qnormal", "verify", str(DATA / "Z.json"), "--out", str(out)]) == 2
@@ -358,6 +375,13 @@ class TestRaagCommand:
         assert report["chain_commuting"] is False
         assert report["chain_certificate_path"] is None
         assert read_json(out / "manifest.json")["outputs"] == ["raag_report.json"]
+
+    def test_boolean_vertex_count_is_an_input_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["raag", "analyze", str(write_json(tmp_path / "g.json", {"vertices": True})),
+                     "--out", str(out)]) == 2
+        assert "field 'vertices': expected an integer, got True" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_graph_without_vertices_is_an_input_error(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -1,6 +1,8 @@
 """Word-problem contexts, abelianization tools, and order certificates."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainlab.contexts import (
     CertificateStatus,
@@ -9,15 +11,16 @@ from chainlab.contexts import (
     battery_context,
     exponent_vector,
     free_abelian_context,
+    free_abelianization,
     free_context,
     infinite_order_certificate,
+    power_word,
     raag_context,
-    relator_exponent_matrix,
     torsion_basis_words,
 )
 from chainlab.coset import todd_coxeter
 from chainlab.errors import UndecidableContextError
-from chainlab.intmat import smith_normal_form
+from chainlab.intmat import IntMatrix, Lattice, smith_normal_form
 from chainlab.words import commutator, presentation, raag_graph, word
 
 C4 = raag_graph(4, [(1, 3), (3, 2), (2, 4), (1, 4)])
@@ -76,9 +79,18 @@ def test_exponent_vector():
         exponent_vector((4,), 3)
 
 
+def columns_matrix(rank, vectors):
+    """The rank x len(vectors) matrix whose columns are the given vectors."""
+    return IntMatrix(rank, len(vectors), [[v[i] for v in vectors] for i in range(rank)])
+
+
+def relator_vectors(p):
+    return [exponent_vector(r, p.rank) for r in p.relators]
+
+
 def abelianization_structure(p):
     """(torsion-free rank, nontrivial torsion invariant factors) of the abelianization."""
-    res = smith_normal_form(relator_exponent_matrix(p))
+    res = smith_normal_form(columns_matrix(p.rank, relator_vectors(p)))
     return p.rank - res.rank, tuple(f for f in res.invariant_factors if f > 1)
 
 
@@ -103,6 +115,49 @@ def test_torsion_basis_words_generate_torsion():
     for k in range(1, 6):
         assert not abelianized_image(words[0] * k, p).in_relator_lattice
     assert abelianized_image(words[0] * 6, p).in_relator_lattice
+
+
+def test_free_abelianization_examples():
+    assert free_abelianization(presentation(("a", "b"), [])) == ((1, 0), (0, 1))
+    assert free_abelianization(presentation(("a", "b"), [commutator((1,), (2,))])) == ((1, 0), (0, 1))
+    assert free_abelianization(presentation(("a", "b"), [(1, 1), (2, 2)])) == ()
+    (k,) = free_abelianization(presentation(("a", "b"), [(1, 1, 2, 2, 2)]))  # a^2 b^3: Z
+    assert 2 * k[0] + 3 * k[1] == 0 and abs(k[0]) == 3
+    assert torsion_basis_words(presentation(("a", "b"), [(1, 1, 2, 2, 2)])) == ()
+    assert sorted(torsion_basis_words(presentation(("a", "b"), [(1, 1), (2, 2)]))) == [(1,), (2,)]
+
+
+@st.composite
+def abelianizing_presentations(draw):
+    """A presentation of rank <= 4 with <= 4 relators of exponents -6..6,
+    each relator a shuffled product of generator powers."""
+    rank = draw(st.integers(1, 4))
+    vector = st.lists(st.integers(-6, 6), min_size=rank, max_size=rank)
+    relators = [draw(st.permutations(power_word(v))) for v in draw(st.lists(vector, max_size=4))]
+    return presentation("abcd"[:rank], relators)
+
+
+@settings(max_examples=300, deadline=None)
+@given(abelianizing_presentations())
+def test_free_abelianization_maps_onto_the_free_part(p):
+    vectors = relator_vectors(p)
+    lattice = Lattice(p.rank, vectors)
+    k = free_abelianization(p)
+    assert len(k) == p.rank - lattice.rank
+    assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in k for v in vectors)
+    res = smith_normal_form(IntMatrix(len(k), p.rank, [list(row) for row in k]))
+    assert res.invariant_factors == (1,) * len(k)  # K maps onto Z^b
+
+
+@settings(max_examples=300, deadline=None)
+@given(abelianizing_presentations())
+def test_torsion_words_fill_the_saturation(p):
+    vectors = relator_vectors(p)
+    lattice = Lattice(p.rank, vectors)
+    torsion = [exponent_vector(w, p.rank) for w in torsion_basis_words(p)]
+    assert all(lattice.in_saturation(t) and not lattice.contains(t) for t in torsion)
+    res = smith_normal_form(columns_matrix(p.rank, vectors + torsion))
+    assert res.invariant_factors == (1,) * lattice.rank
 
 
 def test_abelianized_image_positions():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from chainlab.intmat import (
     IntMatrix,
     Lattice,
-    SNFResult,
     rank_mod_p,
     rank_over_q,
     smith_normal_form,
@@ -69,9 +68,7 @@ def rank_oracle(m: IntMatrix) -> int:
 
 
 def check_against_minor_oracle(m: IntMatrix) -> None:
-    res = smith_normal_form(m, transforms=True)
-    assert res.transforms_checked
-    factors = res.invariant_factors
+    factors = smith_normal_form(m).invariant_factors
     # divisibility chain
     for a, b in zip(factors, factors[1:]):
         assert b % a == 0
@@ -98,8 +95,7 @@ def test_snf_frozen_examples():
 def test_snf_empty_shapes():
     assert smith_normal_form(IntMatrix(0, 4)).invariant_factors == ()
     assert smith_normal_form(IntMatrix(4, 0)).invariant_factors == ()
-    res = smith_normal_form(IntMatrix(0, 0), transforms=True)
-    assert res.invariant_factors == () and res.transforms_checked
+    assert smith_normal_form(IntMatrix(0, 0)).invariant_factors == ()
 
 
 def test_snf_random_against_minor_oracle():
@@ -113,9 +109,9 @@ def test_snf_random_against_minor_oracle():
 
 def test_snf_negative_and_growth():
     m = matrix([[-4, 6, 2], [6, -9, -3], [10, 4, 18]])
-    res = smith_normal_form(m, transforms=True)
-    assert res.transforms_checked
     check_against_minor_oracle(m)
+    assert smith_normal_form(matrix([[-6]])).invariant_factors == (6,)
+    assert smith_normal_form(matrix([[-4, 0], [0, 6]])).invariant_factors == (2, 12)
 
 
 def test_rank_functions_agree():
@@ -262,29 +258,15 @@ class LatticeBasisOracle:
         return tuple(v)
 
 
-def _transformed(res: SNFResult, v):
-    return [sum(res.U.data[i][k] * v[k] for k in range(len(v))) for i in range(len(v))]
-
-
 def lattice_membership_oracle(span: IntMatrix, v):
-    """(in the column lattice of span, in its saturation) through the Smith transform U."""
-    res = smith_normal_form(span, transforms=True)
-    uv = _transformed(res, v)
-    factors = res.invariant_factors
-    in_lattice = all(uv[i] % factors[i] == 0 for i in range(len(factors)))
-    in_saturation = all(x == 0 for x in uv[len(factors):])
-    return in_lattice and in_saturation, in_saturation
+    """(in the column lattice of span, in its saturation).
 
-
-def snf_solve_oracle(res: SNFResult, v):
-    """One integer solution u of m @ u = v through the Smith transforms U, V, or None."""
-    uv = _transformed(res, v)
-    factors = res.invariant_factors
-    if any(uv[i] % f for i, f in enumerate(factors)) or any(uv[len(factors):]):
-        return None
-    cols = res.V.rows
-    y = [uv[i] // f for i, f in enumerate(factors)] + [0] * (cols - len(factors))
-    return [sum(res.V.data[i][k] * y[k] for k in range(cols)) for i in range(cols)]
+    Appending v as a column keeps the invariant factors exactly when v is in
+    the lattice, and keeps the rank exactly when v is in its saturation.
+    """
+    before = smith_normal_form(span)
+    after = smith_normal_form(IntMatrix(span.rows, span.cols + 1, [row + [x] for row, x in zip(span.data, v)]))
+    return after.invariant_factors == before.invariant_factors, after.rank == before.rank
 
 
 @st.composite
@@ -320,22 +302,24 @@ def test_lattice_matches_the_retired_oracles(case):
     dim, gens, element, v = case
     lat = Lattice(dim, gens)
     span = IntMatrix(dim, len(gens), [[g[i] for g in gens] for i in range(dim)])
-    assert (lat.contains(v), lat.in_saturation(v)) == lattice_membership_oracle(span, v)
+    in_lattice, in_saturation = lattice_membership_oracle(span, v)
+    assert (lat.contains(v), lat.in_saturation(v)) == (in_lattice, in_saturation)
     assert lat.reduce(v) == LatticeBasisOracle(dim, gens).reduce(v)
     assert lat.reduce(v) == lat.reduce([x + y for x, y in zip(v, element)])
     assert lat.contains(element) and lat.solve(element) is not None
     u = lat.solve(v)
-    assert (u is None) == (snf_solve_oracle(smith_normal_form(span, transforms=True), v) is None)
+    assert (u is not None) == in_lattice
     if u is not None:
         assert [sum(c * g[i] for c, g in zip(u, gens)) for i in range(dim)] == v
 
 
 def lattice_inserting_zero_vectors(dim, vectors):
-    """``Lattice(dim, vectors)`` as built before zero vectors were skipped."""
+    """``Lattice(dim, vectors)`` built by hand: every input, a zero one too,
+    goes through ``_insert`` with its unit coefficient vector."""
     lat = Lattice.__new__(Lattice)
     vectors = [list(map(int, v)) for v in vectors]
     lat.dim, lat.generators = dim, len(vectors)
-    lat.rows, lat.pivots, lat.coefficients = [], [], []
+    lat.rows, lat.pivots, lat.coefficients, lat.relations = [], [], [], []
     for k, v in enumerate(vectors):
         t = [0] * len(vectors)
         t[k] = 1
@@ -351,7 +335,21 @@ def test_skipping_zero_vectors_keeps_the_echelon_rows(case, data):
     gens = gens[:at] + [[0] * dim] + gens[at:]
     lat, old = Lattice(dim, gens), lattice_inserting_zero_vectors(dim, gens)
     assert (lat.rows, lat.pivots, lat.coefficients) == (old.rows, old.pivots, old.coefficients)
+    assert lat.relations == old.relations
+    assert [0] * at + [1] + [0] * (len(gens) - at - 1) in lat.relations  # the zero input's relation
     assert lat.generators == len(gens)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattices())
+def test_lattice_relations_complete_a_unimodular_matrix(case):
+    dim, gens, _, _ = case
+    lat = Lattice(dim, gens)
+    for t in lat.relations:
+        assert [sum(c * g[i] for c, g in zip(t, gens)) for i in range(dim)] == [0] * dim
+    square = lat.coefficients + lat.relations
+    assert len(square) == len(gens)
+    assert abs(det_fraction(square)) == 1
 
 
 def test_matmul_matches_schoolbook_product():
