@@ -50,9 +50,11 @@ def check_primes(primes: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-# The most cells a dense d2 may hold.  Z^3 at index 4096, the largest level
-# known to finish, has 1.5e8 cells (about 2 GB of Python ints); far larger
-# levels would exhaust memory before the Smith normal form could start.
+# The most cells the dense d2 that ``_fox_d2`` allocates may hold.  The Smith
+# normal form reads d2 into sparse rows and makes no dense copy of it, but d2
+# itself grows with the square of the index: Z^3 at index 4096 has 1.5e8
+# cells, an 8-byte list slot each, and far larger levels would exhaust memory
+# while d2 is assembled.
 D2_CELL_CAP = 200_000_000
 
 

@@ -1,7 +1,12 @@
 """Exact integer matrices: Smith normal form, ``Lattice`` and rank oracles.
 
 Everything here is arbitrary-precision (plain Python ints); floating point
-is never used.  ``smith_normal_form`` gives invariant factors only.
+is never used.  ``smith_normal_form`` gives invariant factors only, in two
+phases: a sparse phase over dict rows eliminates the pivots +-1, each of
+which contributes a factor 1 and leaves the other factors unchanged, and a
+dense gcd elimination reduces the block that is left.  A boundary matrix is
+almost empty and almost all of its pivots are units, so the dense phase
+usually gets a small block or none.
 ``Lattice`` answers the integer-lattice questions (reduce / contains /
 in_saturation / solve) from echelon rows with a coordinate transform, with
 no Smith normal form, and lists a basis of the integer relations among its
@@ -13,6 +18,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from itertools import compress
 from math import gcd, prod
 from typing import Iterable, Optional, Sequence
 
@@ -129,15 +136,83 @@ def _col_op_add(m: list[list[int]], i: int, j: int, q: int) -> None:
 
 
 def smith_normal_form(m: IntMatrix) -> SNFResult:
-    """The invariant factors d_1 | d_2 | ... of m over the integers.
+    """The invariant factors d_1 | d_2 | ... of m over the integers, in two phases.
+
+    The sparse phase eliminates unit pivots (Dumas, Heckenbach, Saunders and
+    Welker 2003; Dumas, Saunders and Villard 2001).  It keeps the nonzero rows
+    as dicts {column: value} with a column -> rows index and picks an entry
+    +-1 Markowitz style: in a shortest row that has one, at the column with
+    the fewest entries.  Adding multiples of the pivot row clears the pivot's
+    column from the other rows (the index follows fill-in and cancellation);
+    the pivot's other row entries would then be cleared by column operations
+    that touch no other row.  Both are unimodular, so m is equivalent to
+    diag(1, rest): the pivot contributes one invariant factor 1 and leaves
+    those of the other rows unchanged, and its row and column are dropped.
+
+    The dense phase packs the rows that are left, which hold no +-1, and the
+    columns they still use into a dense block and runs the gcd elimination of
+    ``_dense_invariant_factors`` on it.  The result is one factor 1 per unit
+    pivot followed by the block's factors, still a divisibility chain.
+    """
+    rows = [{j: row[j] for j in compress(range(m.cols), row)} for row in m.data if any(row)]
+    where: dict[int, set[int]] = {}  # column -> the rows with an entry there
+    for i, row in enumerate(rows):
+        for j in row:
+            where.setdefault(j, set()).add(i)
+    heap = [(len(row), i) for i, row in enumerate(rows)]
+    heapify(heap)
+    units = 0
+    while heap:
+        length, i = heappop(heap)
+        row = rows[i]
+        if length != len(row):
+            continue  # dropped, or changed and pushed again with its new length
+        pivots = [j for j, v in row.items() if v == 1 or v == -1]
+        if not pivots:
+            continue  # pushed again if an elimination changes it
+        j = min(pivots, key=lambda c: (len(where[c]), c))
+        u = row[j]
+        for k in where.pop(j):
+            if k == i:
+                continue
+            other = rows[k]
+            f = other[j] * u  # other -= f * row clears column j, since u * u = 1
+            for c, v in row.items():
+                w = other.get(c, 0) - f * v
+                if w:
+                    if c not in other:
+                        where[c].add(k)
+                    other[c] = w
+                else:
+                    del other[c]
+                    if c != j:
+                        where[c].discard(k)
+            if other:
+                heappush(heap, (len(other), k))
+        for c in row:
+            if c != j:
+                where[c].discard(i)
+        rows[i] = {}
+        units += 1
+    left = [row for row in rows if row]
+    position = {c: n for n, c in enumerate(sorted({c for row in left for c in row}))}
+    block = [[0] * len(position) for _ in left]
+    for dense, row in zip(block, left):
+        for c, v in row.items():
+            dense[position[c]] = v
+    factors = (1,) * units + _dense_invariant_factors(block)
+    return SNFResult(invariant_factors=factors, rank=len(factors))
+
+
+def _dense_invariant_factors(a: list[list[int]]) -> tuple[int, ...]:
+    """The invariant factors of the dense rows a, which are overwritten.
 
     Pivoting always selects a smallest-magnitude nonzero entry of the working
     submatrix and reduces rows/columns through extended-gcd combinations, which
     keeps intermediate entries small.  The diagonal this leaves is then put
     into divisibility order by gcd/lcm steps on adjacent magnitudes.
     """
-    a = [row[:] for row in m.data]
-    rows, cols = m.rows, m.cols
+    rows, cols = len(a), len(a[0]) if a else 0
 
     def gen_row_op(i: int, j: int, x: int, y: int, u: int, v: int) -> None:
         """(row_i, row_j) <- (x row_i + y row_j, u row_i + v row_j), xv - yu = 1."""
@@ -219,7 +294,7 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
                 g = gcd(p, q)
                 d[i], d[i + 1] = g, p // g * q
                 changed = True
-    return SNFResult(invariant_factors=tuple(d), rank=t)
+    return tuple(d)
 
 
 def rank_over_q(m: IntMatrix) -> int:

@@ -66,6 +66,10 @@ from .words import (
 DEFAULT_GRAPH_BUDGET = 5_000
 DEFAULT_RADIUS = 3
 DEFAULT_SEARCH_BOUND = 6
+# The most letters a ball's representatives may hold in total.  A ball whose
+# representatives grow with the radius (a line: y^k up to k = radius) meets
+# it long before ``coset.DEFAULT_BUDGET`` vertices.  No option raises it.
+BALL_LETTER_CAP = 1_000_000
 
 
 class QNormalStatus(enum.Enum):
@@ -655,6 +659,7 @@ def _ball(
     base = solver.canonical(())
     order = [base]
     index = {base: 0}
+    letters = len(base)
     edges = set()
     queue = [base]
     depth = 0
@@ -668,11 +673,16 @@ def _ball(
                         index[neighbor] = len(order)
                         order.append(neighbor)
                         nxt.append(neighbor)
+                        letters += len(neighbor)
                 u, v = index[rep], index[forward]
                 edges.add((min(u, v), max(u, v), label))
             if len(order) > limit:
                 raise BudgetExceededError(
                     f"the radius-{radius} ball has more than {limit} vertices"
+                )
+            if letters > BALL_LETTER_CAP:
+                raise BudgetExceededError(
+                    f"the radius-{radius} ball holds more than {BALL_LETTER_CAP} letters"
                 )
         queue = nxt
         depth += 1
@@ -699,7 +709,8 @@ def build_coset_graph(
     Truncation needs a coset canonicalizer; one is inferred for free-abelian
     and parabolic graph-group cases, and the construction refuses (rather than
     guess) for presentations without one.  A ball that grows past
-    ``coset.DEFAULT_BUDGET`` vertices raises BudgetExceededError.
+    ``coset.DEFAULT_BUDGET`` vertices, or whose representatives hold more
+    than ``BALL_LETTER_CAP`` letters in total, raises BudgetExceededError.
     """
     if budget < 1:
         raise InputError("budget must be at least 1")

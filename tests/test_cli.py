@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from chainlab.cli import _jsonable, main, parse_element, report_json
 from chainlab.coset import DEFAULT_BUDGET
 from chainlab.errors import InputError
-from chainlab.qnormal import chain_to_dict, witness_set_to_dict
+from chainlab.qnormal import BALL_LETTER_CAP, chain_to_dict, witness_set_to_dict
 from chainlab.raag import artin_central_chain
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -274,6 +274,15 @@ class TestQnormalCommands:
         path = write_json(tmp_path / "job.json", job)
         assert main(["qnormal", "graph", str(path), "--out", str(tmp_path / "b")]) == 0
         assert len(read_json(tmp_path / "b" / "graph.json")["vertices"]) == 49
+
+    def test_ball_past_the_letter_cap_exits_3(self, tmp_path, capsys):
+        job = read_json(DATA / "plane_graph_job.json")
+        del job["radius"]  # a line whose representatives y^k grow with the radius
+        path = write_json(tmp_path / "job.json", job)
+        argv = ["qnormal", "graph", str(path), "--radius", str(10**30), "--out", str(tmp_path / "a")]
+        assert main(argv) == 3  # at the default budget, far below its 100,000 vertices
+        assert f"more than {BALL_LETTER_CAP} letters" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
 
     def test_negative_radius_is_an_input_error(self, tmp_path, capsys):
         job = read_json(DATA / "plane_graph_job.json")

@@ -18,12 +18,14 @@ from chainlab.homology import (
     series_to_csv,
     series_to_json_dict,
 )
+from chainlab import intmat
 from chainlab.intmat import rank_mod_p, rank_over_q, smith_normal_form
 from chainlab.words import commutator, free_graph, free_reduce, inverse_word, presentation
 
 Z = free_graph(1).presentation()
 F2 = free_graph(2).presentation()
 Z2 = presentation(("a", "b"), [commutator((1,), (2,))])
+Z3 = presentation(("a", "b", "c"), [commutator((1,), (2,)), commutator((1,), (3,)), commutator((2,), (3,))])
 KLEIN = presentation(("a", "b"), [(1, 2, 1, -2)])
 SURFACE2 = presentation(
     ("a", "b", "c", "d"),
@@ -83,6 +85,23 @@ def test_torus_covers_keep_betti_two():
 
 
 # ---------------------------------------------------------- structure checks
+
+
+@pytest.mark.parametrize("p, n, betti", [(Z2, 9, 2), (Z3, 4, 3), (SURFACE2, 3, 164)])
+def test_free_abelian_covers_leave_no_dense_block(p, n, betti, monkeypatch):
+    """Every pivot of these d2s is a unit eliminated sparsely, so the dense loop gets
+    empty blocks only.  The genus-2 cover of index 81 is a surface of genus 82."""
+    blocks = []
+    dense = intmat._dense_invariant_factors
+
+    def spy(a):
+        blocks.append(len(a))
+        return dense(a)
+
+    monkeypatch.setattr(intmat, "_dense_invariant_factors", spy)
+    s = homology_summary(p, build_abelian_chain(p, [n]).levels[0], primes=(2, 3))
+    assert s.betti_q == betti and s.invariant_factors_nontrivial == ()
+    assert blocks == [0]  # one Smith normal form, of an empty block
 
 
 def test_boundary_composition_and_connectivity():

@@ -4,17 +4,21 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from chainlab.coset import cyclic_cover_chain
+from chainlab.homology import fox_boundary_matrices
 from chainlab.intmat import (
     IntMatrix,
     Lattice,
+    _dense_invariant_factors,
     rank_mod_p,
     rank_over_q,
     smith_normal_form,
     xgcd,
 )
+from chainlab.words import free_reduce, presentation
 
 
 def matrix(rows) -> IntMatrix:
@@ -112,6 +116,41 @@ def test_snf_negative_and_growth():
     check_against_minor_oracle(m)
     assert smith_normal_form(matrix([[-6]])).invariant_factors == (6,)
     assert smith_normal_form(matrix([[-4, 0], [0, 6]])).invariant_factors == (2, 12)
+
+
+# Mostly 0 and +-1, as in a boundary matrix, with a few non-unit entries.
+SPARSE_ENTRY = st.sampled_from([0] * 12 + [1, -1] * 4 + [2, -2, 3, -3, 5, -5])
+
+
+@st.composite
+def sparse_matrices(draw):
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    row = st.lists(SPARSE_ENTRY, min_size=cols, max_size=cols)
+    return IntMatrix(rows, cols, draw(st.lists(row, min_size=rows, max_size=rows)))
+
+
+@st.composite
+def cyclic_cover_d2(draw):
+    """The Fox d2 of the n-fold cyclic cover of a random one-relator group on a, b."""
+    relator = free_reduce(draw(st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=10)))
+    assume(relator)
+    p = presentation(("a", "b"), [relator])
+    t = cyclic_cover_chain(p, [draw(st.integers(1, 20))]).levels[0]
+    return fox_boundary_matrices(p, t)[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(sparse_matrices(), cyclic_cover_d2()))
+def test_unit_pivot_elimination_matches_the_dense_loop(m):
+    data = [row[:] for row in m.data]
+    snf = smith_normal_form(m)
+    assert m.data == data  # the input is left as it was
+    assert snf.invariant_factors == _dense_invariant_factors(data)
+    assert snf.rank == rank_over_q(m)
+    for p in (2, 3, 5):
+        assert rank_mod_p(m, p) == sum(1 for f in snf.invariant_factors if f % p)
+    if m.rows <= 4 and m.cols <= 4:
+        check_against_minor_oracle(m)
 
 
 def test_rank_functions_agree():
