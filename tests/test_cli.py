@@ -481,6 +481,22 @@ class TestRebuildCommand:
         assert report["validation"]["all_pass"] is True
         assert report["minimal_kappa"] == 1.0
 
+    def test_empty_big_complex_writes_an_infinite_minimal_kappa(self, tmp_path):
+        # one 0-cell on the small side against none on the big side: no kappa
+        # meets the cells bound, and the infinity is written as the string "inf"
+        data = {
+            "big": {"alpha": 0, "cell_counts": [0], "boundaries": []},
+            "small": {"alpha": 0, "cell_counts": [1], "boundaries": []},
+            "g": [{"rows": 1, "cols": 0, "entries": [[]]}],
+            "h": [{"rows": 0, "cols": 1, "entries": []}],
+            "rho": [],
+        }
+        out = tmp_path / "run"
+        rc = main(["rebuild", "check", str(write_json(tmp_path / "empty.json", data)), "--T", "2",
+                   "--out", str(out)])
+        assert rc == 0
+        assert '"minimal_kappa": "inf"' in (out / "rebuild_report.json").read_text()
+
     def test_subdivided_circle_finite_kappa(self, tmp_path):
         out = tmp_path / "run"
         rc = main(["rebuild", "check", str(DATA / "subdiv_circle_8.json"), "--T", "8", "--out", str(out)])

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from chainlab.coset import CosetTable, build_abelian_chain, cyclic_cover_chain, todd_coxeter
 from chainlab.errors import BudgetExceededError, InputError
 from chainlab.homology import (
+    GradientPoint,
+    GradientSeries,
     chain_homology,
     estimate_trend,
     fox_boundary_matrices,
@@ -298,6 +300,24 @@ def test_trend_line_is_exact():
     trend = estimate_trend(gradient_series(chain, "betti_q"))
     assert trend.slope_vs_inverse_index == 2.0
     assert trend.extrapolated_limit == 0.0
+
+
+@pytest.mark.parametrize(
+    "ratios, label",
+    [
+        ((1, 1, 1), "constant"),
+        ((3, 2, 1), "strictly-decreasing"),
+        ((3, 2, 2), "nonincreasing"),
+        ((1, 2, 3), "strictly-increasing"),
+        ((1, 1, 2), "nondecreasing"),
+        ((1, 2, 1), "mixed"),
+    ],
+)
+def test_trend_labels_every_monotonicity(ratios, label):
+    points = tuple(
+        GradientPoint(str(n), n, r * n, Fraction(r)) for n, r in zip((2, 3, 4), ratios)
+    )
+    assert estimate_trend(GradientSeries("betti_q", points)).monotonicity == label
 
 
 def test_trend_needs_distinct_indices():

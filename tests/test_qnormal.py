@@ -54,6 +54,7 @@ from chainlab.qnormal import (
     weakest,
     witness_set_to_dict,
 )
+from chainlab.raag import exact_chain_contexts
 from chainlab.words import (
     RaagGraph,
     complete_graph,
@@ -279,6 +280,30 @@ class TestChains:
         cert, contexts = golden_chain()
         with pytest.raises(InputError):
             verify_chain(cert, contexts[:2])
+
+    def test_base_of_finite_order_is_not_proven(self):
+        # <a, b | a^2>: the base a generates the bottom subgroup but has order 2,
+        # and the battery context of a non-graph-group ambient cannot prove more
+        ambient = presentation(("a", "b"), [(1, 1)])
+        step = QNormalWitnessSet(
+            ambient=ambient,
+            subgroup_words=((1,),),
+            generating_set=((1,), (2,)),
+            witnesses=(witness((1,), (1,)), witness((1,), (1,))),
+        )
+        cert = QNormalChainCertificate(steps=(step,), base=(1,))
+        report = verify_chain(cert, exact_chain_contexts(cert))
+        assert report.status is QNormalStatus.CONSISTENT
+        assert report.base_is_subgroup_generator
+        assert not report.base_certificate.proven
+        assert report.failure_reasons == ("base element lacks an infinite-order proof",)
+
+    def test_zero_step_chain_takes_exactly_one_context(self):
+        cert = QNormalChainCertificate(steps=(), base=(1,))
+        with pytest.raises(InputError):
+            verify_chain(cert, (free_context(1), free_context(1)))
+        with pytest.raises(InputError):
+            verify_chain(cert, ())
 
     def test_chain_json_roundtrip(self):
         cert, _ = golden_chain()

@@ -251,11 +251,20 @@ class TestEmittedChains:
     def test_invalid_sequence_rejected(self):
         g = cycle4()
         seq = chain_commuting_sequence(g)
+        # meets every vertex, but 1 and 3 are not adjacent in the 4-cycle
         bad = ChainCommutingSequence(
-            ((1,), (3,)), seq.proofs[:1], seq.order_certificates[:2]
+            ((1,), (3,), (2,), (4,)), seq.proofs[:3], seq.order_certificates[:4]
         )
-        with pytest.raises(InputError):
-            emit_qnormal_chain(bad, g)  # 1 and 3 are not adjacent in the 4-cycle
+        with pytest.raises(InputError, match="consecutive sequence entries 1 and 3 do not commute"):
+            emit_qnormal_chain(bad, g)
+        with pytest.raises(InputError, match="need exactly one name per vertex"):
+            emit_qnormal_chain(seq, g, ("a", "b", "c"))
+        for element in ((1, 2), (-1,), (5,)):
+            not_a_letter = ChainCommutingSequence(
+                seq.elements[:1] + (element,) + seq.elements[2:], seq.proofs, seq.order_certificates
+            )
+            with pytest.raises(InputError, match="is not a single generator"):
+                emit_qnormal_chain(not_a_letter, g)
 
     def test_sequence_missing_generator_rejected(self):
         g = cycle4()

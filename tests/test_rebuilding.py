@@ -33,6 +33,28 @@ def bumped(m: IntMatrix, i: int, j: int) -> IntMatrix:
     return IntMatrix(m.rows, m.cols, data)
 
 
+def disk_collapse_rebuilding(n: int) -> RebuildingData:
+    """The n-gon disk (the subdivided circle plus one face) collapsed onto a point.
+
+    rho_0 is the subdivided circle's path of arcs back to the basepoint, and
+    rho_1 sends the closing arc e_(n-1) to the face: rho_0 d_1 is then the
+    identity on the other arcs and minus their sum on the closing one, so
+    degree 1 needs both terms of d_2 rho_1 + rho_0 d_1.
+    """
+    circle = subdivided_circle_complex(n)
+    d2 = IntMatrix(n, 1, [[1]] * n)
+    disk = CWChainData(alpha=2, cell_counts=(n, n, 1), boundaries=(circle.boundary(1), d2))
+    point = CWChainData(alpha=2, cell_counts=(1, 0, 0), boundaries=(IntMatrix(1, 0), IntMatrix(0, 0)))
+    rho1 = IntMatrix(1, n, [[0] * (n - 1) + [1]])
+    return RebuildingData(
+        Y=disk,
+        Yprime=point,
+        g_maps=(IntMatrix(1, n, [[1] * n]), IntMatrix(0, n), IntMatrix(0, 1)),
+        h_maps=(IntMatrix(n, 1, [[1]] + [[0]] * (n - 1)), IntMatrix(n, 0), IntMatrix(1, 0)),
+        rho_maps=(subdivided_circle_rebuilding(n).rho_maps[0], rho1),
+    )
+
+
 def dense_operator_norm(m: IntMatrix) -> float:
     """Power iteration with dense Gram products, two per round -- oracle."""
     if m.rows == 0 or m.cols == 0 or m.is_zero():
@@ -115,6 +137,21 @@ class TestValidation:
         rep = validate_rebuilding(bad)
         assert not rep.all_pass
         assert rep.failures() == ("homotopy degree 0",)
+
+    def test_disk_collapse_checks_the_degree_one_homotopy(self):
+        d = disk_collapse_rebuilding(6)
+        assert not (d.rho_maps[0] @ d.Y.boundary(1)).is_zero()
+        rep = validate_rebuilding(d)
+        assert rep.all_pass
+        assert "homotopy degree 1" in {c.name for c in rep.checks}
+        bad = RebuildingData(
+            Y=d.Y,
+            Yprime=d.Yprime,
+            g_maps=d.g_maps,
+            h_maps=d.h_maps,
+            rho_maps=(d.rho_maps[0], bumped(d.rho_maps[1], 0, 2)),
+        )
+        assert validate_rebuilding(bad).failures() == ("homotopy degree 1",)
 
     def test_shape_errors_raise(self):
         d = subdivided_circle_rebuilding(4)
