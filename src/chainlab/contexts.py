@@ -4,8 +4,8 @@ A context packages what we are willing to assume about a group when deciding
 word equality:
 
 * ``free``, ``free-abelian`` and ``raag`` contexts decide equality exactly via
-  graph-group normal forms (the first two are the edgeless and complete
-  special cases);
+  graph-group normal forms; the kind is read off the graph (edgeless,
+  complete, or neither);
 * a ``finite-quotient-battery`` context only probes words through finite
   permutation quotients, so it can *refute* equality but never prove it.
 
@@ -29,11 +29,11 @@ from .words import (
     Presentation,
     RaagGraph,
     Word,
+    bounded_word,
     complete_graph,
     free_graph,
     free_reduce,
     pile_normal_form,
-    word,
 )
 
 
@@ -91,7 +91,7 @@ class RaagContext(WordProblemContext):
     passes it in; only its rank is checked against the graph.
     """
 
-    def __init__(self, graph: RaagGraph, presentation: Optional[Presentation] = None, kind: str = "raag"):
+    def __init__(self, graph: RaagGraph, presentation: Optional[Presentation] = None):
         if presentation is None:
             presentation = graph.presentation()
         elif presentation.rank != graph.vertex_count:
@@ -101,7 +101,7 @@ class RaagContext(WordProblemContext):
             )
         self.graph = graph
         self.presentation = presentation
-        self.kind = kind
+        self.kind = "free" if not graph.edges else "free-abelian" if graph.is_complete else "raag"
         self.decides_equality = True
         self._n = graph.vertex_count
         self._non_commuters = graph.non_commuters
@@ -124,13 +124,11 @@ class RaagContext(WordProblemContext):
 
 
 def free_context(rank: int, names: Optional[Sequence[str]] = None) -> RaagContext:
-    g = free_graph(rank)
-    return RaagContext(g, g.presentation(names), kind="free")
+    return raag_context(free_graph(rank), names)
 
 
 def free_abelian_context(rank: int, names: Optional[Sequence[str]] = None) -> RaagContext:
-    g = complete_graph(rank)
-    return RaagContext(g, g.presentation(names), kind="free-abelian")
+    return raag_context(complete_graph(rank), names)
 
 
 def raag_context(graph: RaagGraph, names: Optional[Sequence[str]] = None) -> RaagContext:
@@ -199,11 +197,7 @@ def context_for(p: Presentation) -> WordProblemContext:
 
 
 def exponent_vector(w: Sequence[int], rank: int) -> tuple[int, ...]:
-    w = word(w)
-    for letter in w:
-        if abs(letter) > rank:
-            raise InputError(f"letter {letter} out of range for rank {rank}")
-    return exponent_counts(w, rank)
+    return exponent_counts(bounded_word(w, rank), rank)
 
 
 def exponent_counts(w: Word, rank: int) -> tuple[int, ...]:

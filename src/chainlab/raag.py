@@ -38,6 +38,7 @@ from .contexts import (
     WordProblemContext,
     battery_context,
     context_for,
+    free_context,
     infinite_order_certificate,
     raag_context,
 )
@@ -57,6 +58,7 @@ from .words import (
     Word,
     default_names,
     free_reduce,
+    max_letter,
     raag_normal_form,
     word,
 )
@@ -102,7 +104,7 @@ def is_inner_amenable_raag(g: RaagGraph) -> InnerAmenabilityReport:
     trivial and no such splitting is available.
     """
     cones = cone_vertices(g)
-    complete = len(cones) == g.vertex_count
+    complete = g.is_complete
     if cones:
         v = cones[0]
         if not is_central_generator(v, g):  # pragma: no cover - cones are central
@@ -321,8 +323,7 @@ def exact_chain_contexts(cert: QNormalChainCertificate) -> tuple[WordProblemCont
     base word's rank.
     """
     if not cert.steps:
-        rank = max(abs(x) for x in cert.base)
-        return (raag_context(RaagGraph(rank)),)
+        return (free_context(max_letter(cert.base)),)
     return tuple(context_for(step.ambient) for step in cert.steps)
 
 
@@ -390,10 +391,6 @@ class ArtinGraph:
                 return m
         raise InputError(f"no edge between {i} and {j}")
 
-    @property
-    def is_raag(self) -> bool:
-        return all(m == 2 for _, m in self.labels)
-
 
 def artin_graph(vertex_count: int, labeled_edges) -> ArtinGraph:
     """Build from {(i, j): m} or an iterable of ((i, j), m) pairs."""
@@ -456,17 +453,15 @@ def artin_chain_commuting(ag: ArtinGraph, start: int = 1) -> Optional[ChainCommu
     elements z_i = (s_i s_{i+1})^{m_i} of the traversed dihedral pairs, giving
     (s_1, z_1, s_2, z_2, ..., s_k).  Commutation with z_i is machine-verified
     when the edge label is 2 and recorded as a cited centrality fact otherwise;
-    infinite-order certificates come from the exact graph-group context when
-    all labels are 2, and from abelianization images otherwise.
+    infinite-order certificates come from ``context_for`` of the Artin
+    presentation: exact when all labels are 2 (every braiding relator is then
+    a commutator), from abelianization images otherwise.
     """
     g = ag.base
     walk = _depth_first_walk(g, start)
     if walk is None:
         return None
-    if ag.is_raag:
-        ctx: WordProblemContext = raag_context(g)
-    else:
-        ctx = battery_context(artin_presentation(ag))
+    ctx = context_for(artin_presentation(ag))
 
     elements: list[Word] = [(walk[0],)]
     proofs: list[CommutingProof] = []
@@ -519,9 +514,5 @@ def artin_central_chain(
         witnesses=(wit, wit),
     )
     cert = QNormalChainCertificate(steps=(ws,), base=z)
-    if m == 2:
-        graph = RaagGraph(2, frozenset({(1, 2)}))
-        ctx: WordProblemContext = raag_context(graph, ("s", "t"))
-    else:
-        ctx = battery_context(pres, [symmetric_quotient_probe(m)])
+    ctx = context_for(pres) if m == 2 else battery_context(pres, [symmetric_quotient_probe(m)])
     return cert, (ctx,)

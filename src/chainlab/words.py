@@ -11,11 +11,12 @@ commuting letters; reading the piles back greedily by least generator index
 yields the shortlex-least geodesic representative.
 
 Words are validated once, where they enter a public function: ``word``,
-``free_reduce``, ``Presentation.check_word`` and ``raag_normal_form`` raise
-``InputError`` (exit code 2 on the command line) for a zero or non-integer
-letter or a generator beyond the declared rank.  Below that boundary the
-pile kernel ``pile_normal_form`` trusts its word and does no checking of
-its own, apart from asserting the pile invariants.
+``free_reduce``, ``bounded_word`` (the one letter-range check, which
+``Presentation.check_word`` and every other module call) and
+``raag_normal_form`` raise ``InputError`` (exit code 2 on the command line)
+for a zero or non-integer letter or a generator beyond the declared rank.
+Below that boundary the pile kernel ``pile_normal_form`` trusts its word and
+does no checking of its own, apart from asserting the pile invariants.
 """
 
 from __future__ import annotations
@@ -132,10 +133,10 @@ class Presentation:
 
     def check_word(self, w: Sequence[int]) -> Word:
         """w as a tuple of letters in +-1..rank; InputError otherwise."""
-        return _bounded_word(w, len(self.generator_names))
+        return bounded_word(w, len(self.generator_names))
 
 
-def _bounded_word(w: Sequence[int], k: int) -> Word:
+def bounded_word(w: Sequence[int], k: int) -> Word:
     """w as a tuple of letters in +-1..k, checked in one pass.
 
     A tuple of ints is returned as it is; anything else (a list, bools)
@@ -188,6 +189,12 @@ class RaagGraph:
 
     def adjacent(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
+
+    @property
+    def is_complete(self) -> bool:
+        """Every two vertices adjacent: the group is free abelian."""
+        n = self.vertex_count
+        return len(self.edges) == n * (n - 1) // 2
 
     @cached_property
     def _adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -281,7 +288,7 @@ def raag_normal_form(w: Sequence[int], g: RaagGraph) -> Word:
     cancellations/insertions and swaps of adjacent commuting letters.
     """
     n = g.vertex_count
-    return pile_normal_form(_bounded_word(w, n), n, g.non_commuters)
+    return pile_normal_form(bounded_word(w, n), n, g.non_commuters)
 
 
 def pile_normal_form(w: Word, n: int, non_commuters: Sequence[Sequence[int]]) -> Word:

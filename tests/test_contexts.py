@@ -9,6 +9,7 @@ from chainlab.contexts import (
     EqualityVerdict,
     abelianized_image,
     battery_context,
+    context_for,
     exponent_vector,
     free_abelian_context,
     free_abelianization,
@@ -21,7 +22,7 @@ from chainlab.contexts import (
 from chainlab.coset import todd_coxeter
 from chainlab.errors import UndecidableContextError
 from chainlab.intmat import IntMatrix, Lattice, smith_normal_form
-from chainlab.words import commutator, presentation, raag_graph, word
+from chainlab.words import commutator, complete_graph, free_graph, presentation, raag_graph, word
 
 C4 = raag_graph(4, [(1, 3), (3, 2), (2, 4), (1, 4)])
 
@@ -52,6 +53,20 @@ def test_raag_context_respects_graph():
     assert ctx.is_trivial(commutator((1,), (2,))) is False
 
 
+@pytest.mark.parametrize("graph, kind", [
+    (raag_graph(1), "free"),
+    (free_graph(3), "free"),
+    (complete_graph(3), "free-abelian"),
+    (C4, "raag"),
+])
+def test_context_kind_is_read_off_the_graph(graph, kind):
+    # the same group gets the same kind however its context is built
+    for ctx in (raag_context(graph), context_for(graph.presentation())):
+        assert repr(ctx) == f"<{kind} context on {graph.vertex_count} generators>"
+    assert free_context(3).kind == "free"
+    assert free_abelian_context(3).kind == "free-abelian"
+
+
 # ---------------------------------------------------------- battery context
 
 
@@ -75,7 +90,7 @@ def test_battery_refutes_but_never_proves():
 
 def test_exponent_vector():
     assert exponent_vector((1, 2, -1, 2), 3) == (0, 2, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"word \(4,\) uses a generator beyond the 3 declared"):
         exponent_vector((4,), 3)
 
 

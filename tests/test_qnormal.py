@@ -80,6 +80,8 @@ class TestWitnessSets:
         assert iota((1, 2), sub) == (1, 2, 2)
         assert iota((-2, 1), sub) == (-2, -2, 1)
         assert iota((), sub) == ()
+        with pytest.raises(InputError, match="beyond the 2 declared"):
+            iota((3,), sub)
 
     def test_witness_count_must_match_generating_set(self):
         p = plane_presentation()
@@ -209,7 +211,7 @@ class TestWitnessSets:
         assert ws.witnesses[0] is checked
         assert ws.witnesses[1] == checked
         assert type(ws.witnesses[1].expr_in_subgroup[0]) is int
-        with pytest.raises(InputError, match="does not index a subgroup generator"):
+        with pytest.raises(InputError, match=r"word \(-2,\) uses a generator beyond the 1 declared"):
             QNormalWitnessSet(
                 ambient=plane_presentation(),
                 subgroup_words=((1,),),

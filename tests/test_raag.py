@@ -474,8 +474,10 @@ class TestArtinGraphs:
             artin_graph(2, {(1, 2): 1})
 
     def test_is_raag_detection(self):
-        assert artin_graph(3, {(1, 2): 2, (2, 3): 2}).is_raag
-        assert not artin_graph(3, {(1, 2): 2, (2, 3): 3}).is_raag
+        # label 2 everywhere is read off the presentation: each braiding relator is a commutator
+        ctx = context_for(artin_presentation(artin_graph(3, {(1, 2): 2, (2, 3): 2})))
+        assert isinstance(ctx, RaagContext) and ctx.graph == path3()
+        assert not context_for(artin_presentation(artin_graph(3, {(1, 2): 2, (2, 3): 3}))).decides_equality
 
     def test_label_lookup_is_symmetric(self):
         ag = artin_graph(3, {(1, 2): 4, (2, 3): 2})
