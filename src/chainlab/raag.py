@@ -56,6 +56,7 @@ from .words import (
     Presentation,
     RaagGraph,
     Word,
+    bounded_word,
     default_names,
     free_reduce,
     max_letter,
@@ -267,11 +268,10 @@ def _parabolic_chain(
     names = tuple(names) if names is not None else default_names(g.vertex_count)
     if len(names) != g.vertex_count:
         raise InputError("need exactly one name per vertex")
-    walk: list[int] = []
     for e in seq.elements:
-        if len(e) != 1 or e[0] < 0 or e[0] > g.vertex_count:
+        if len(e) != 1 or e[0] < 0:
             raise InputError(f"sequence element {e} is not a single generator of the graph group")
-        walk.append(e[0])
+    walk = bounded_word(tuple(v for (v,) in seq.elements), g.vertex_count)
     if seq.letters_used() != frozenset(range(1, g.vertex_count + 1)):
         raise InputError("the sequence does not meet every generator")
     for i in range(len(walk) - 1):

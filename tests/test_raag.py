@@ -259,11 +259,16 @@ class TestEmittedChains:
             emit_qnormal_chain(bad, g)
         with pytest.raises(InputError, match="need exactly one name per vertex"):
             emit_qnormal_chain(seq, g, ("a", "b", "c"))
-        for element in ((1, 2), (-1,), (5,)):
+        for element, message in (
+            ((1, 2), "is not a single generator"),
+            ((-1,), "is not a single generator"),
+            ((0,), "must be nonzero integers"),
+            ((5,), "beyond the 4 declared"),
+        ):
             not_a_letter = ChainCommutingSequence(
                 seq.elements[:1] + (element,) + seq.elements[2:], seq.proofs, seq.order_certificates
             )
-            with pytest.raises(InputError, match="is not a single generator"):
+            with pytest.raises(InputError, match=message):
                 emit_qnormal_chain(not_a_letter, g)
 
     def test_sequence_missing_generator_rejected(self):
