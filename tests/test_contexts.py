@@ -32,6 +32,7 @@ C4 = raag_graph(4, [(1, 3), (3, 2), (2, 4), (1, 4)])
 
 def test_free_context_equality():
     ctx = free_context(2)
+    assert ctx.kind == "free"
     assert ctx.equal((1, 2, -2), (1,)) is EqualityVerdict.EQUAL
     assert ctx.equal((1, 2), (2, 1)) is EqualityVerdict.UNEQUAL
     assert ctx.normal_form((1, -1)) == ()
@@ -41,6 +42,7 @@ def test_free_context_equality():
 
 def test_free_abelian_context_sorts():
     ctx = free_abelian_context(3)
+    assert ctx.kind == "free-abelian"
     assert ctx.normal_form((3, 1, 2)) == (1, 2, 3)
     assert ctx.equal((1, 2), (2, 1)) is EqualityVerdict.EQUAL
     assert ctx.equal((1, 2, -1), (2, 2)) is EqualityVerdict.UNEQUAL
@@ -63,8 +65,6 @@ def test_context_kind_is_read_off_the_graph(graph, kind):
     # the same group gets the same kind however its context is built
     for ctx in (raag_context(graph), context_for(graph.presentation())):
         assert repr(ctx) == f"<{kind} context on {graph.vertex_count} generators>"
-    assert free_context(3).kind == "free"
-    assert free_abelian_context(3).kind == "free-abelian"
 
 
 # ---------------------------------------------------------- battery context

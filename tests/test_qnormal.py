@@ -439,6 +439,8 @@ class TestBallGraphs:
         assert solver.canonical((1, 3)) == (3,)  # the subgroup letter commutes out
         assert solver.canonical((2, 1)) == (2,)
         assert solver.canonical((1, 2)) == (1, 2)  # blocked: 1 and 2 do not commute
+        with pytest.raises(InputError, match="beyond the 4 declared"):
+            ParabolicCosetSolver(c4, [5])
         # Coset invariance under right multiplication by subgroup letters.
         for w in [(), (2,), (1, 2), (3, 2, -4)]:
             assert solver.canonical(tuple(w) + (1,)) == solver.canonical(w)
