@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .errors import InputError, UndecidableContextError
@@ -48,7 +48,7 @@ class CertificateStatus(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InfiniteOrderCertificate:
     status: CertificateStatus
     method: str
@@ -85,33 +85,38 @@ class WordProblemContext:
 class RaagContext(WordProblemContext):
     """Exact word problem for a graph group via pile normal forms.
 
-    The presentation is the one the context decides: by default the graph's
-    own, with sorted commutator relators.  A caller that already holds a
-    presentation of this graph group (relators in any order or orientation)
-    passes it in; only its rank is checked against the graph.
+    A graph group's presentation is determined by its graph, so the context
+    takes none from its caller: it builds ``graph.presentation(names)``.
     """
 
-    def __init__(self, graph: RaagGraph, presentation: Optional[Presentation] = None):
-        if presentation is None:
-            presentation = graph.presentation()
-        elif presentation.rank != graph.vertex_count:
-            raise InputError(
-                f"a presentation on {presentation.rank} generators cannot present "
-                f"the graph group on {graph.vertex_count} vertices"
-            )
+    def __init__(self, graph: RaagGraph, names: Optional[Sequence[str]] = None):
+        if names is not None and len(names) != graph.vertex_count:
+            raise InputError("need exactly one name per vertex")
         self.graph = graph
-        self.presentation = presentation
+        self._names = names
         self.kind = "free" if not graph.edges else "free-abelian" if graph.is_complete else "raag"
         self.decides_equality = True
         self._n = graph.vertex_count
         self._non_commuters = graph.non_commuters
 
+    @cached_property
+    def presentation(self) -> Presentation:
+        """Built once, on first use: a context that only decides words never builds it."""
+        return self.graph.presentation(self._names)
+
+    @classmethod
+    def _classified(cls, graph: RaagGraph, presentation: Presentation) -> "RaagContext":
+        """For ``context_for`` alone: graph was just read off presentation's relators."""
+        ctx = cls(graph)
+        ctx.presentation = presentation
+        return ctx
+
     def normal_form(self, w: Sequence[int]) -> Word:
-        return pile_normal_form(self.presentation.check_word(w), self._n, self._non_commuters)
+        return pile_normal_form(bounded_word(w, self._n), self._n, self._non_commuters)
 
     def equal(self, u: Sequence[int], v: Sequence[int]) -> EqualityVerdict:
-        u = self.presentation.check_word(u)
-        v = self.presentation.check_word(v)
+        u = bounded_word(u, self._n)
+        v = bounded_word(v, self._n)
         if u == v:
             return EqualityVerdict.EQUAL
         n, non_commuters = self._n, self._non_commuters
@@ -120,7 +125,7 @@ class RaagContext(WordProblemContext):
         return EqualityVerdict.UNEQUAL
 
     def __repr__(self) -> str:
-        return f"<{self.kind} context on {self.presentation.rank} generators>"
+        return f"<{self.kind} context on {self._n} generators>"
 
 
 def free_context(rank: int, names: Optional[Sequence[str]] = None) -> RaagContext:
@@ -131,8 +136,7 @@ def free_abelian_context(rank: int, names: Optional[Sequence[str]] = None) -> Ra
     return raag_context(complete_graph(rank), names)
 
 
-def raag_context(graph: RaagGraph, names: Optional[Sequence[str]] = None) -> RaagContext:
-    return RaagContext(graph, graph.presentation(names))
+raag_context = RaagContext  # named like free_context and free_abelian_context
 
 
 class QuotientBatteryContext(WordProblemContext):
@@ -190,7 +194,7 @@ def context_for(p: Presentation) -> WordProblemContext:
         return battery_context(p)
     # the context keeps the relators in the order and orientation they were
     # written in, so it compares equal to the presentation it was classified from
-    return RaagContext(graph, p)
+    return RaagContext._classified(graph, p)
 
 
 # ------------------------------------------------------------- abelianization
@@ -219,12 +223,12 @@ def power_word(exponents: Sequence[int]) -> Word:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)  # bounded: every key keeps its presentation alive
 def _relator_lattice(p: Presentation) -> Lattice:
     return Lattice(p.rank, [exponent_counts(r, p.rank) for r in p.relators])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def free_abelianization(p: Presentation) -> tuple[tuple[int, ...], ...]:
     """Rows K of a map from Z^rank onto Z^b, b the torsion-free rank of the abelianization.
 
@@ -283,16 +287,7 @@ def infinite_order_certificate(w: Sequence[int], ctx: WordProblemContext) -> Inf
       a torsion class -- so that case stays INCONCLUSIVE.
     """
     if ctx.decides_equality:
-        nf = ctx.normal_form(w)
-        if nf == ():
-            return InfiniteOrderCertificate(
-                CertificateStatus.INCONCLUSIVE, "normal-form", "trivial element"
-            )
-        return InfiniteOrderCertificate(
-            CertificateStatus.PROVEN_INFINITE,
-            "graph-group-normal-form",
-            f"nontrivial normal form {nf} in a torsion-free group",
-        )
+        return _normal_form_certificate(ctx.normal_form(w))
     img = abelianized_image(w, ctx.presentation)
     if img.infinite_order_in_abelianization:
         return InfiniteOrderCertificate(
@@ -304,3 +299,15 @@ def infinite_order_certificate(w: Sequence[int], ctx: WordProblemContext) -> Inf
     if free_reduce(w) == ():
         detail = "trivial element"
     return InfiniteOrderCertificate(CertificateStatus.INCONCLUSIVE, "abelianization-free-part", detail)
+
+
+@lru_cache(maxsize=1024)
+def _normal_form_certificate(nf: Word) -> InfiniteOrderCertificate:
+    """An exact context's certificate: immutable and a function of nf, so shared."""
+    if nf == ():
+        return InfiniteOrderCertificate(CertificateStatus.INCONCLUSIVE, "normal-form", "trivial element")
+    return InfiniteOrderCertificate(
+        CertificateStatus.PROVEN_INFINITE,
+        "graph-group-normal-form",
+        f"nontrivial normal form {nf} in a torsion-free group",
+    )

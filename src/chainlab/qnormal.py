@@ -88,7 +88,7 @@ def weakest(statuses: Sequence[QNormalStatus]) -> QNormalStatus:
 # ----------------------------------------------------------------- witnesses
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QNormalWitness:
     """For one generator s: an element w with w = expr in L and w = s(expr')s^-1.
 
@@ -101,7 +101,7 @@ class QNormalWitness:
     expr_in_conjugate: Word
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QNormalWitnessSet:
     """One q-normality step: subgroup L inside an ambient presented group.
 
@@ -151,7 +151,7 @@ def _substitute(expr: Word, subgroup_words: Sequence[Word]) -> Word:
     return free_reduce(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WitnessReport:
     s: Word
     w: Word
@@ -161,7 +161,7 @@ class WitnessReport:
     status: QNormalStatus
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QNormalReport:
     witness_reports: tuple[WitnessReport, ...]
     generating_set_spans_abelianization: bool
@@ -282,13 +282,13 @@ class QNormalChainCertificate:
             self.steps[0].ambient.check_word(self.base)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainStepReport:
     report: QNormalReport
     composable_with_previous: Optional[bool]  # None for step 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainReport:
     base_is_subgroup_generator: bool
     base_certificate: InfiniteOrderCertificate

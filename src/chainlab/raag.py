@@ -86,7 +86,7 @@ def is_central_generator(v: int, g: RaagGraph) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InnerAmenabilityReport:
     graph: RaagGraph
     cone_vertices: tuple[int, ...]
@@ -132,7 +132,7 @@ def is_inner_amenable_raag(g: RaagGraph) -> InnerAmenabilityReport:
 # ------------------------------------------------------ commuting sequences
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommutingProof:
     """Why two consecutive sequence elements commute.
 
@@ -148,7 +148,7 @@ class CommutingProof:
     detail: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainCommutingSequence:
     """Words with consecutive commutation proofs and order certificates.
 
@@ -255,15 +255,16 @@ def emit_qnormal_chain(
 
 def _parabolic_chain(
     seq: ChainCommutingSequence, g: RaagGraph, names: Optional[Sequence[str]] = None
-) -> tuple[QNormalChainCertificate, tuple[RaagGraph, ...]]:
-    """emit_qnormal_chain's certificate, with the induced graph of each step's ambient.
+) -> tuple[QNormalChainCertificate, tuple[RaagContext, ...]]:
+    """emit_qnormal_chain's certificate, with the context of each step's ambient.
 
     The graph is relabeled once in walk order, h = g.induced(order), so that
     step k's ambient is the graph group of h's prefix on 1..k+1.  Each step's
-    graph is h.prefix(k + 1) and its presentation lists h's sorted
-    commutators on those letters under the names of order[:k+1]; both equal
-    what g.induced(order[:k+1]) and its presentation give.  Every step shares
-    one word per letter and one self-witness per generator.
+    context is built on h.prefix(k + 1) under the names of order[:k+1], and
+    the step's ambient is that context's presentation: h's sorted commutator
+    relators on those letters, the very objects h holds.  Both equal what
+    g.induced(order[:k+1]) and its presentation give.  Every step shares one
+    word per letter and one self-witness per generator.
     """
     names = tuple(names) if names is not None else default_names(g.vertex_count)
     if len(names) != g.vertex_count:
@@ -294,24 +295,22 @@ def _parabolic_chain(
     h = g.induced(order)
     position = {v: i + 1 for i, v in enumerate(order)}
     ordered_names = tuple(names[v - 1] for v in order)
-    commutators = tuple((i, j, -i, -j) for i, j in sorted(h.edges))
     letters = tuple((j,) for j in range(1, len(order) + 1))
     witnesses = tuple(QNormalWitness(w=x, expr_in_subgroup=x, expr_in_conjugate=x) for x in letters)
     steps: list[QNormalWitnessSet] = []
-    graphs: list[RaagGraph] = []
+    contexts: list[RaagContext] = []
     for k in range(1, len(order)):
-        graphs.append(h.prefix(k + 1))
-        pres = Presentation(ordered_names[: k + 1], tuple(r for r in commutators if r[1] <= k + 1))
+        contexts.append(RaagContext(h.prefix(k + 1), ordered_names[: k + 1]))
         prev = position[predecessor[order[k]]]
         steps.append(
             QNormalWitnessSet(
-                ambient=pres,
+                ambient=contexts[-1].presentation,
                 subgroup_words=letters[:k],
                 generating_set=letters[: k + 1],
                 witnesses=witnesses[:k] + (witnesses[prev - 1],),
             )
         )
-    return QNormalChainCertificate(steps=tuple(steps), base=(1,)), tuple(graphs)
+    return QNormalChainCertificate(steps=tuple(steps), base=(1,)), tuple(contexts)
 
 
 def exact_chain_contexts(cert: QNormalChainCertificate) -> tuple[WordProblemContext, ...]:
@@ -327,7 +326,7 @@ def exact_chain_contexts(cert: QNormalChainCertificate) -> tuple[WordProblemCont
     return tuple(context_for(step.ambient) for step in cert.steps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainCommutingReport:
     graph: RaagGraph
     connected: bool
@@ -343,21 +342,16 @@ class ChainCommutingReport:
 def chain_commuting_report(g: RaagGraph) -> ChainCommutingReport:
     """Build and verify the parabolic q-normal chain, or record why none exists.
 
-    Each step is decided in the graph group of the induced graph it was
-    emitted from, with the step's ambient as the context's presentation; the
-    zero-step chain of a single vertex is decided in the group of g itself.
-    The step graphs are prefixes of one another, so verify_chain checks each
-    witness once.
+    Each step is decided in the context it was emitted from, whose
+    presentation is the step's ambient; the zero-step chain of a single
+    vertex is decided in the group of g itself.  The step graphs are
+    prefixes of one another, so verify_chain checks each witness once.
     """
     seq = chain_commuting_sequence(g)
     if seq is None:
         return ChainCommutingReport(g, False, None, None, None)
-    cert, graphs = _parabolic_chain(seq, g)
-    if cert.steps:
-        contexts = tuple(RaagContext(sub, step.ambient) for sub, step in zip(graphs, cert.steps))
-    else:
-        contexts = (raag_context(g),)
-    report = verify_chain(cert, contexts)
+    cert, contexts = _parabolic_chain(seq, g)
+    report = verify_chain(cert, contexts or (raag_context(g),))
     return ChainCommutingReport(g, True, seq, cert, report)
 
 

@@ -106,7 +106,7 @@ def format_word(w: Sequence[int], names: Optional[Sequence[str]] = None) -> str:
     return " ".join(parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Presentation:
     """A finite presentation: named generators and freely reduced relators."""
 
@@ -126,6 +126,13 @@ class Presentation:
         for r in reduced:
             if r and (max(r) > k or min(r) < -k):
                 raise InputError(f"relator {r} uses a generator beyond the {k} declared")
+
+    @classmethod
+    def _of_reduced(cls, names: tuple[str, ...], relators: tuple[Word, ...]) -> "Presentation":
+        """The one trusted path: relators freely reduced over the names, kept unchecked."""
+        p = cls(names, ())
+        object.__setattr__(p, "relators", relators)
+        return p
 
     @property
     def rank(self) -> int:
@@ -252,19 +259,27 @@ class RaagGraph:
         """The induced subgraph on vertices 1..m, equal to ``induced(range(1, m + 1))``.
 
         Its non-commuter rows are this graph's rows cut at m (they ascend),
-        so a chain of prefixes computes the table once.
+        and its commutators this graph's, so a chain of prefixes builds both once.
         """
         if not 1 <= m <= self.vertex_count:
             raise InputError(f"prefix length {m} out of range 1..{self.vertex_count}")
         sub = RaagGraph(m, frozenset(e for e in self.edges if e[1] <= m))
         rows = [row[: bisect_right(row, m)] for row in self.non_commuters[: m + 1]]
         object.__setattr__(sub, "non_commuters", tuple(rows + rows[:0:-1]))
+        object.__setattr__(sub, "commutators", tuple(r for r in self.commutators if r[1] <= m))
         return sub
 
+    @cached_property
+    def commutators(self) -> tuple[Word, ...]:
+        """The relators (i, j, -i, -j) of the edges i < j, in sorted order."""
+        return tuple((i, j, -i, -j) for i, j in sorted(self.edges))
+
     def presentation(self, names: Optional[Sequence[str]] = None) -> Presentation:
+        """The graph group's presentation; it holds ``commutators`` itself, not a copy."""
         names = tuple(names) if names else default_names(self.vertex_count)
-        rels = tuple((i, j, -i, -j) for i, j in sorted(self.edges))
-        return Presentation(names, rels)
+        if len(names) != self.vertex_count:
+            raise InputError("need exactly one name per vertex")
+        return Presentation._of_reduced(names, self.commutators)
 
 
 def raag_graph(vertex_count: int, edges: Iterable[Sequence[int]] = ()) -> RaagGraph:

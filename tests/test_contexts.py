@@ -1,12 +1,18 @@
 """Word-problem contexts, abelianization tools, and order certificates."""
 
+import dataclasses
+import inspect
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chainlab.contexts as contexts_module
 from chainlab.contexts import (
     CertificateStatus,
     EqualityVerdict,
+    RaagContext,
     abelianized_image,
     battery_context,
     context_for,
@@ -20,9 +26,20 @@ from chainlab.contexts import (
     torsion_basis_words,
 )
 from chainlab.coset import todd_coxeter
-from chainlab.errors import UndecidableContextError
+from chainlab.errors import InputError, UndecidableContextError
 from chainlab.intmat import IntMatrix, Lattice, smith_normal_form
-from chainlab.words import commutator, complete_graph, free_graph, presentation, raag_graph, word
+from chainlab.qnormal import QNormalStatus, QNormalWitness, QNormalWitnessSet, verify_qnormal
+from chainlab.words import (
+    RaagGraph,
+    commutator,
+    complete_graph,
+    free_graph,
+    inverse_word,
+    presentation,
+    raag_graph,
+    word,
+)
+from contexts_oracles import fresh_exact_certificate
 
 C4 = raag_graph(4, [(1, 3), (3, 2), (2, 4), (1, 4)])
 
@@ -65,6 +82,38 @@ def test_context_kind_is_read_off_the_graph(graph, kind):
     # the same group gets the same kind however its context is built
     for ctx in (raag_context(graph), context_for(graph.presentation())):
         assert repr(ctx) == f"<{kind} context on {graph.vertex_count} generators>"
+
+
+def test_a_context_takes_its_presentation_from_its_graph():
+    # a context whose graph is Z^2 but whose presentation names F2 used to
+    # decide one group and claim the other; no public constructor pairs them now
+    assert list(inspect.signature(RaagContext).parameters) == ["graph", "names"]
+    f2 = free_graph(2).presentation()
+    with pytest.raises(TypeError):
+        RaagContext(complete_graph(2), f2)
+    with pytest.raises(InputError, match="need exactly one name per vertex"):
+        RaagContext(complete_graph(2), ("a",))
+    ctx = RaagContext(complete_graph(2), ("x", "y"))
+    assert ctx.presentation == complete_graph(2).presentation(("x", "y"))
+    assert ctx.presentation is ctx.presentation
+    # context_for keeps the presentation it classified, relators as written
+    written = presentation(("a", "b"), [(2, 1, -2, -1)])
+    assert context_for(written).presentation is written
+    assert context_for(written).graph == complete_graph(2)
+
+
+def test_a_false_claim_in_f2_is_no_longer_proven():
+    # <b> is not q-normal in F2 by these witnesses: for s = a, b = a b a^-1 fails
+    f2 = free_graph(2).presentation()
+    claim = QNormalWitnessSet(f2, ((2,),), ((1,), (2,)), (QNormalWitness((2,), (1,), (1,)),) * 2)
+    with pytest.raises(InputError, match="different ambient groups"):
+        verify_qnormal(claim, RaagContext(complete_graph(2)))
+    report = verify_qnormal(claim, context_for(f2))
+    assert report.status is QNormalStatus.FAILED
+    assert report.witness_reports[0].in_conjugate is EqualityVerdict.UNEQUAL
+    # the same witnesses do prove it in Z^2, the group the old pair decided
+    z2 = dataclasses.replace(claim, ambient=complete_graph(2).presentation())
+    assert verify_qnormal(z2, RaagContext(complete_graph(2))).status is QNormalStatus.PROVEN
 
 
 # ---------------------------------------------------------- battery context
@@ -175,6 +224,18 @@ def test_torsion_words_fill_the_saturation(p):
     assert res.invariant_factors == (1,) * lattice.rank
 
 
+def test_abelianization_caches_stay_bounded():
+    # each cached presentation stays alive as a key, so the caches must not grow with the inputs
+    for k in range(1, 301):
+        p = presentation(("a", "b"), [(1,) * k, (1, 2, -1, -2)])
+        abelianized_image((2,), p)
+        assert torsion_basis_words(p) == (((1,),) if k > 1 else ())
+    for cached in (contexts_module._relator_lattice, contexts_module.free_abelianization):
+        info = cached.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize < 300
+
+
 def test_abelianized_image_positions():
     p = presentation(("a",), [word((1,) * 5)])  # Z/5
     img = abelianized_image((1,), p)
@@ -225,3 +286,33 @@ def test_certificate_free_rank_one():
     assert infinite_order_certificate((1,), ctx).proven
     assert infinite_order_certificate((-1, -1), ctx).proven
     assert not infinite_order_certificate((1, -1), ctx).proven
+
+
+@st.composite
+def graphs_and_words(draw):
+    """A graph on at most 6 vertices and up to five words of at most 10 letters."""
+    n = draw(st.integers(1, 6))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    letter = st.integers(1, n).flatmap(lambda g: st.sampled_from((g, -g)))
+    words = draw(st.lists(st.lists(letter, max_size=10).map(tuple), min_size=1, max_size=5))
+    return RaagGraph(n, frozenset(edges)), words
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_and_words())
+def test_shared_certificates_equal_fresh_ones(case):
+    graph, words = case
+    ctx = raag_context(graph)
+    fields = [f.name for f in dataclasses.fields(contexts_module.InfiniteOrderCertificate)]
+    for w in words:
+        cert = infinite_order_certificate(w, ctx)
+        fresh = fresh_exact_certificate(w, ctx)
+        assert [getattr(cert, f) for f in fields] == [getattr(fresh, f) for f in fields]
+        # one object per normal form, whatever context or word it came from
+        assert infinite_order_certificate(ctx.normal_form(w), RaagContext(graph)) is cert
+    # trivial words stay inconclusive after nontrivial ones were cached
+    for trivial in ((), words[0] + inverse_word(words[0])):
+        cert = infinite_order_certificate(trivial, ctx)
+        assert cert.status is CertificateStatus.INCONCLUSIVE
+        assert cert == fresh_exact_certificate(trivial, ctx)

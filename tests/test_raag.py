@@ -361,7 +361,8 @@ class TestChainReuse:
         rep = chain_commuting_report(g)
         cert, graphs = _per_step_chain(rep.sequence, g)
         assert rep.certificate == cert
-        _, prefixes = raag_module._parabolic_chain(rep.sequence, g)
+        _, contexts = raag_module._parabolic_chain(rep.sequence, g)
+        prefixes = tuple(ctx.graph for ctx in contexts)
         assert prefixes == graphs
         assert [h.non_commuters for h in prefixes] == [h.non_commuters for h in graphs]
         assert rep.verification.status is QNormalStatus.PROVEN
@@ -400,7 +401,7 @@ class TestChainReuse:
             ),
             base=(1,),
         )
-        report = verify_chain(cert, (RaagContext(g0, p0), RaagContext(g1, p1)))
+        report = verify_chain(cert, (RaagContext(g0), RaagContext(g1)))
         before = report.step_reports[0].report.witness_reports[1]
         after = report.step_reports[1].report.witness_reports[1]
         assert before.in_conjugate is EqualityVerdict.EQUAL
@@ -408,6 +409,52 @@ class TestChainReuse:
         assert before != after
         assert report.status is QNormalStatus.FAILED
         assert [s.report for s in report.step_reports] == _checked_step_by_step(cert)
+
+
+def _seeded_connected_graph(n, density, seed):
+    rng = random.Random(seed)
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    while True:
+        g = RaagGraph(n, frozenset(p for p in pairs if rng.random() < density))
+        if g.is_connected():
+            return g
+
+
+class TestChainSharing:
+    """A chain's data is built once and shared by its steps."""
+
+    @pytest.mark.parametrize("g", [
+        raag_graph(6, [(i, i + 1) for i in range(1, 6)]),
+        cycle4(),
+        _seeded_connected_graph(8, 0.4, seed=8),
+    ], ids=["path6", "cycle4", "seeded8"])
+    def test_steps_share_presentations_relators_and_certificates(self, g, monkeypatch):
+        handed, walk_ordered = [], []
+        verify, induced = raag_module.verify_chain, RaagGraph.induced
+        monkeypatch.setattr(raag_module, "verify_chain",
+                            lambda cert, contexts: handed.append(contexts) or verify(cert, contexts))
+        monkeypatch.setattr(RaagGraph, "induced",
+                            lambda graph, vs: walk_ordered.append(induced(graph, vs)) or walk_ordered[-1])
+        rep = chain_commuting_report(g)
+        assert rep.chain_commuting
+        ((h,), (contexts,), steps) = walk_ordered, handed, rep.certificate.steps
+        # each step is decided in the context of its prefix, whose presentation is its ambient
+        assert [ctx.graph for ctx in contexts] == [h.prefix(k) for k in range(2, g.vertex_count + 1)]
+        for step, ctx in zip(steps, contexts, strict=True):
+            assert step.ambient is ctx.presentation
+            assert step.ambient.relators is ctx.graph.commutators
+        # every relator is one of the walk-ordered graph's own objects, never a re-reduced copy
+        own = {id(r) for r in h.commutators}
+        assert len(own) == len(g.edges)
+        assert all(id(r) in own for step in steps for r in step.ambient.relators)
+        # equal normal forms (single letters here) give the identical certificate object
+        shared = {(1,): rep.verification.base_certificate}
+        for step in rep.verification.step_reports:
+            for r in step.report.witness_reports:
+                assert shared.setdefault(r.w, r.order) is r.order
+        for e, cert in zip(rep.sequence.elements, rep.sequence.order_certificates):
+            assert shared.setdefault(e, cert) is cert
+        assert len(shared) == g.vertex_count
 
 
 class TestExhaustiveSweep:
